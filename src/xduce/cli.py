@@ -171,6 +171,11 @@ def cmd_herald(run: RunConfig, args) -> int:
 
 
 def cmd_verify(run: RunConfig, args) -> int:
+    seed = args.seed if args.seed is not None else run.seed
+    if seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {seed}")
+    if args.probes < 0:
+        raise UsageError(f"--probes must be non-negative, got {args.probes}")
     cfg = run.transducer
     n_p = core.intracavity_photon_number(cfg.mode_p, run.drive)
     eta = core.conversion_efficiency(cfg, n_p).eta
@@ -184,9 +189,7 @@ def cmd_verify(run: RunConfig, args) -> int:
     print(f"conversion_numeric = {conversion!r}")
     print(f"max_relative_deviation = {deviation!r}")
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-        args.seed if args.seed is not None else run.seed
-    )))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     span = 5.0 * max(red_sys.kappa_a, red_sys.kappa_b)
     worst_excess = 0.0
     worst_asym = 0.0

@@ -210,7 +210,10 @@ def internal_efficiency(c: float) -> float:
     critical point and decreasing above it.
     """
     _require_non_negative(c, "C")
-    return 4.0 * c / (1.0 + c) ** 2
+    try:
+        return 4.0 * c / (1.0 + c) ** 2
+    except OverflowError:
+        raise DomainError(f"C = {c!r} is too large: (1+C)^2 overflows") from None
 
 
 def conversion_efficiency(cfg: TransducerConfig, n_p: float) -> EfficiencyBreakdown:

@@ -19,7 +19,6 @@ this module exists to quantify that gap, not to correct it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,9 @@ from .errors import DomainError, ModelRegimeError, UsageError
 # sensible for small means; larger means are outside the model regime anyway.
 MAX_POISSON_MEAN = 10.0
 
-# Trials per RNG block. Fixed so the stream layout, and therefore the result,
-# does not depend on how many workers process the blocks.
+# Trials per RNG block, each block drawn from its own (seed, block) Philox
+# stream. Fixed, because the block layout decides which uniforms each trial
+# sees: changing it would change every estimate for a given seed.
 _BLOCK_SIZE = 1_000_000
 
 
@@ -173,9 +173,7 @@ def _block_error_count(seed: int, block: int, n: int, cdf: np.ndarray) -> int:
     return int(np.count_nonzero(errors))
 
 
-def mc_blue_infidelity(
-    model: HeraldModel, samples: int, seed: int, workers: int = 1
-) -> McEstimate:
+def mc_blue_infidelity(model: HeraldModel, samples: int, seed: int) -> McEstimate:
     """Monte Carlo oracle for the blue-scheme infidelity.
 
     Each trial draws independent Poisson(mu) counts for the two cavities
@@ -183,7 +181,7 @@ def mc_blue_infidelity(
     two or more; the estimate is the error fraction. Trials are generated
     in fixed-size blocks, each from its own Philox counter-based stream
     keyed by (seed, block index), and the integer error counts are summed,
-    so the result is bit-identical for a given seed at any worker count.
+    so the result is bit-identical for a given seed.
     """
     if model.scheme is not Scheme.BLUE:
         raise UsageError("mc_blue_infidelity requires a blue-scheme model")
@@ -191,26 +189,16 @@ def mc_blue_infidelity(
         raise UsageError(f"samples must be at least 1, got {samples}")
     if seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {seed}")
-    if workers < 1:
-        raise UsageError(f"workers must be at least 1, got {workers}")
     mu = model.mu
     if mu >= MAX_POISSON_MEAN:
         raise ModelRegimeError(
             f"mu = {mu:.6g} is outside the sampler's regime (mu < {MAX_POISSON_MEAN:g})"
         )
     cdf = _poisson_cdf_table(mu)
-    blocks = [
-        (i, min(_BLOCK_SIZE, samples - i * _BLOCK_SIZE))
+    total = sum(
+        _block_error_count(seed, i, min(_BLOCK_SIZE, samples - i * _BLOCK_SIZE), cdf)
         for i in range((samples + _BLOCK_SIZE - 1) // _BLOCK_SIZE)
-    ]
-    if workers == 1:
-        counts = [_block_error_count(seed, i, n, cdf) for i, n in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(
-                pool.map(lambda b: _block_error_count(seed, b[0], b[1], cdf), blocks)
-            )
-    total = sum(counts)
+    )
     mean = total / samples
     if samples > 1:
         stderr = math.sqrt(mean * (1.0 - mean) / (samples - 1))

@@ -19,15 +19,14 @@ point of this module and is enforced by the test suite to 1e-9 relative.
 
 The 2x2 solve uses the explicit inverse with a residual check: at this
 size conditioning is trivial and the residual guards sign conventions.
+Stability and the blue threshold follow from the trace and determinant.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import brentq
 
 from .core import Scheme, TransducerConfig
 from .errors import DomainError, InstabilityError, UsageError
@@ -58,6 +57,8 @@ class LinearizedSystem:
     def __post_init__(self) -> None:
         if self.g_eff < 0.0 or not math.isfinite(self.g_eff):
             raise DomainError(f"g_eff must be finite and non-negative, got {self.g_eff!r}")
+        if self.kappa_a <= 0.0 or self.kappa_b <= 0.0:
+            raise DomainError("both modes need positive total loss rates")
 
     @property
     def kappa_a(self) -> float:
@@ -107,23 +108,17 @@ def build_linearized(
     )
 
 
-def _system_matrix(sys: LinearizedSystem, omega: float, g_scale: float = 1.0):
-    """Rows of M at probe offset omega, with G optionally rescaled."""
-    g = g_scale * sys.g_eff
+def _system_matrix(sys: LinearizedSystem, omega: float):
+    """Entries m11, m12, m21, m22 of M at probe offset omega."""
     m11 = 1j * (sys.detuning_a - omega) + sys.kappa_a / 2.0
     m22 = 1j * (sys.detuning_b - omega) + sys.kappa_b / 2.0
     if sys.scheme is Scheme.RED:
-        return m11, 1j * g, 1j * g, m22
-    return m11, 1j * g, -1j * g, m22
+        return m11, 1j * sys.g_eff, 1j * sys.g_eff, m22
+    return m11, 1j * sys.g_eff, -1j * sys.g_eff, m22
 
 
-def _solve_2x2(m11, m12, m21, m22, r1, r2):
-    """Closed-form inverse of a 2x2 complex system plus residual check."""
-    det = m11 * m22 - m12 * m21
-    if det == 0:
-        raise ArithmeticError("singular 2x2 steady-state system")
-    x1 = (m22 * r1 - m12 * r2) / det
-    x2 = (m11 * r2 - m21 * r1) / det
+def _check_residual(m11, m12, m21, m22, x1, x2, r1, r2) -> None:
+    """Raise if (x1, x2) does not solve M x = (r1, r2) to _RESIDUAL_RTOL."""
     scale = max(abs(r1), abs(r2)) + (abs(m11) + abs(m12) + abs(m21) + abs(m22)) * (
         abs(x1) + abs(x2)
     )
@@ -132,15 +127,18 @@ def _solve_2x2(m11, m12, m21, m22, r1, r2):
         raise ArithmeticError(
             f"2x2 residual {res:.3e} exceeds {_RESIDUAL_RTOL:.1e} * {scale:.3e}"
         )
-    return x1, x2
 
 
 def _blue_unstable(sys: LinearizedSystem) -> bool:
     """True when the blue-scheme drift matrix has a non-decaying eigenvalue."""
     m11, m12, m21, m22 = _system_matrix(sys, 0.0)
-    # dx/dt = -K x with M(omega) = K - i*omega*I; stability needs Re eig(K) > 0
-    eigs = np.linalg.eigvals(np.array([[m11, m12], [m21, m22]]))
-    return bool(np.min(eigs.real) <= 0.0)
+    # dx/dt = -K x with M(omega) = K - i*omega*I; stability needs Re eig(K) > 0.
+    # Eigenvalues are half_trace +- root with Re(root) >= 0, so half_trace + root
+    # decays; the other is det / (half_trace + root), free of cancellation.
+    half_trace = (m11 + m22) / 2.0
+    det = m11 * m22 - m12 * m21
+    root = cmath.sqrt(half_trace * half_trace - det)
+    return (det / (half_trace + root)).real <= 0.0
 
 
 def scattering_at(sys: LinearizedSystem, omega: float) -> ScatteringPoint:
@@ -149,8 +147,6 @@ def scattering_at(sys: LinearizedSystem, omega: float) -> ScatteringPoint:
     Raises :class:`InstabilityError` for a blue-scheme system at or beyond
     the parametric threshold, where no steady state exists.
     """
-    if sys.kappa_a <= 0.0 or sys.kappa_b <= 0.0:
-        raise DomainError("both modes need positive total loss rates")
     if sys.scheme is Scheme.BLUE and _blue_unstable(sys):
         threshold = parametric_threshold(sys)
         raise InstabilityError(
@@ -159,13 +155,18 @@ def scattering_at(sys: LinearizedSystem, omega: float) -> ScatteringPoint:
             threshold=threshold,
         )
     m11, m12, m21, m22 = _system_matrix(sys, omega)
+    det = m11 * m22 - m12 * m21
+    if det == 0:
+        raise ArithmeticError("singular 2x2 steady-state system")
     sqrt_ka = math.sqrt(sys.kappa_a_ex)
     sqrt_kb = math.sqrt(sys.kappa_b_ex)
-    # drive port a: out_b = sqrt(kb_ex) * x_b (no input at b to subtract)
-    _, xb = _solve_2x2(m11, m12, m21, m22, sqrt_ka, 0.0)
+    # drive port a with input sqrt(ka_ex): out_b = sqrt(kb_ex) * x_b
+    xa, xb = m22 * sqrt_ka / det, -m21 * sqrt_ka / det
+    _check_residual(m11, m12, m21, m22, xa, xb, sqrt_ka, 0.0)
     amplitude_ba = sqrt_kb * xb
-    # drive port b: out_a = sqrt(ka_ex) * x_a
-    xa, _ = _solve_2x2(m11, m12, m21, m22, 0.0, sqrt_kb)
+    # drive port b with input sqrt(kb_ex): out_a = sqrt(ka_ex) * x_a
+    xa, xb = -m12 * sqrt_kb / det, m11 * sqrt_kb / det
+    _check_residual(m11, m12, m21, m22, xa, xb, 0.0, sqrt_kb)
     amplitude_ab = sqrt_ka * xa
     return ScatteringPoint(
         probe_offset=omega,
@@ -186,35 +187,21 @@ def conversion_spectrum(sys: LinearizedSystem, omegas) -> list[ScatteringPoint]:
 def parametric_threshold(sys: LinearizedSystem) -> float:
     """Cooperativity at which the blue steady state turns singular.
 
-    Rescales the coupling of ``sys`` until the on-resonance determinant
-    vanishes and reports the cooperativity there; with zero detunings the
-    root sits at C = 1 independent of how each kappa splits into intrinsic
-    and external parts. A decoupled system (G = 0) never reaches the
-    threshold and returns infinity.
+    On resonance the determinant with G rescaled by s is m11*m22 - s^2 G^2,
+    so the threshold is C* = 4 m11 m22 / (kappa_a kappa_b) in closed form:
+    exactly 1 at triple resonance, whatever the intrinsic/external splits.
+    Detunings that make m11*m22 complex leave no real root (DomainError).
+    A decoupled system (G = 0) never reaches the threshold: infinity.
     """
     if sys.scheme is not Scheme.BLUE:
         raise UsageError("parametric threshold is defined for the blue scheme only")
     if sys.g_eff == 0.0:
         return math.inf
-
-    def det_at(scale: float) -> complex:
-        m11, m12, m21, m22 = _system_matrix(sys, 0.0, g_scale=scale)
-        return m11 * m22 - m12 * m21
-
-    def det_real(scale: float) -> float:
-        d = det_at(scale)
-        if abs(d.imag) > 1e-9 * abs(d):
-            raise DomainError(
-                "determinant is complex away from triple resonance; "
-                "threshold undefined for detuned systems"
-            )
-        return d.real
-
-    lo, hi = 0.0, 1.0
-    while det_real(hi) > 0.0:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e12:
-            return math.inf
-    s_star = brentq(det_real, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
-    g_star = s_star * sys.g_eff
-    return 4.0 * g_star**2 / (sys.kappa_a * sys.kappa_b)
+    m11, _, _, m22 = _system_matrix(sys, 0.0)
+    product = m11 * m22
+    if abs(product.imag) > 1e-9 * abs(product):
+        raise DomainError(
+            "determinant is complex away from triple resonance; "
+            "threshold undefined for detuned systems"
+        )
+    return 4.0 * product.real / (sys.kappa_a * sys.kappa_b)

@@ -40,6 +40,8 @@ class PowerAxis:
     def __post_init__(self) -> None:
         if self.spacing not in ("linear", "log"):
             raise DomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
+        if not (math.isfinite(self.min_w) and math.isfinite(self.max_w)):
+            raise DomainError("power axis bounds must be finite")
         if not (self.min_w < self.max_w):
             raise DomainError("power axis needs min < max")
         if self.min_w < 0.0 or (self.spacing == "log" and self.min_w <= 0.0):
@@ -104,10 +106,13 @@ class SweepSpec:
     pump_detuning: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.q_axis:
+        # plain floats, so table cells print as 9000000.0, not np.float64(...)
+        q_axis = tuple(float(q) for q in self.q_axis)
+        if not q_axis:
             raise DomainError("q_axis must not be empty")
-        if any(q <= 0.0 for q in self.q_axis):
-            raise DomainError("q_axis values must be positive")
+        if not all(math.isfinite(q) and q > 0.0 for q in q_axis):
+            raise DomainError("q_axis values must be finite and positive")
+        object.__setattr__(self, "q_axis", q_axis)
         allowed = {"efficiency", "cooperativity", "infidelity"}
         unknown = set(self.outputs) - allowed
         if unknown:

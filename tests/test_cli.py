@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -317,6 +320,55 @@ class TestExitCodes:
 
     def test_unsupported_exits_5(self):
         assert run_cli(["herald", "--config", str(SHIPPED_FIXTURE), "--mc", "10"]) == 5
+
+    def test_overflowing_cooperativity_exits_3(self, tmp_path, capsys):
+        # C ~ 1e204 overflows (1 + C)**2 in the internal efficiency
+        text = SHIPPED_FIXTURE.read_text()
+        efficiency = write_config(
+            tmp_path, text.replace("power_w = 2e-5", "power_w = 1e200"), "eff.ini"
+        )
+        assert run_cli(["efficiency", "--config", efficiency]) == 3
+        sweep = write_config(
+            tmp_path, text.replace("power_max_w = 1e-3", "power_max_w = 1e200"), "sweep.ini"
+        )
+        assert run_cli(["sweep", "--config", sweep]) == 3
+        assert "overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("q_values = 9e6, 9e7", "q_values = nan, 9e7"),
+         ("q_values = 9e6, 9e7", "q_values = 9e6, inf"),
+         ("power_max_w = 1e-3", "power_max_w = inf"),
+         ("power_min_w = 1e-7", "power_min_w = nan")],
+    )
+    def test_non_finite_sweep_values_rejected_at_load(self, tmp_path, capsys, old, new):
+        text = SHIPPED_FIXTURE.read_text()
+        assert old in text
+        cfg = write_config(tmp_path, text.replace(old, new))
+        assert run_cli(["sweep", "--config", cfg]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flags", [["--probes", "-1"], ["--seed", "-1"]])
+    def test_negative_verify_arguments_exit_5(self, capsys, flags):
+        assert run_cli(["verify", "--config", str(SHIPPED_FIXTURE), *flags]) == 5
+        assert "non-negative" in capsys.readouterr().err
+
+    def test_negative_config_seed_in_verify_exits_5(self, tmp_path):
+        text = SHIPPED_FIXTURE.read_text().replace("seed = 12345", "seed = -1")
+        assert run_cli(["verify", "--config", write_config(tmp_path, text)]) == 5
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency: importing the package and its CLI must
+    # not pull it in
+    src = str(HERE.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import xduce, xduce.cli, xduce.config, sys; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_dump_normalized_shows_two_pi_conversion(tmp_path, capsys):

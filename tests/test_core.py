@@ -165,6 +165,13 @@ class TestInternalEfficiency:
         with pytest.raises(DomainError):
             internal_efficiency(-0.1)
 
+    def test_overflowing_square_is_a_domain_error(self):
+        # (1 + C)**2 overflows a double above C ~ 1.34e154
+        assert internal_efficiency(1e154) == 4.0 * 1e154 / (1.0 + 1e154) ** 2
+        for c in (1e155, 1e200, 1.7e308):
+            with pytest.raises(DomainError, match="overflows"):
+                internal_efficiency(c)
+
     def test_bounded_and_unimodal_on_grid(self):
         grid = np.linspace(0.0, 100.0, 20001)
         values = np.array([internal_efficiency(float(c)) for c in grid])

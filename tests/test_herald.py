@@ -144,12 +144,6 @@ class TestMonteCarlo:
         est2 = mc_blue_infidelity(blue_model(0.05), samples=200_000, seed=31)
         assert est1 == est2
 
-    def test_worker_count_invariance(self):
-        model = blue_model(0.05)
-        serial = mc_blue_infidelity(model, samples=2_500_000, seed=9)
-        threaded = mc_blue_infidelity(model, samples=2_500_000, seed=9, workers=4)
-        assert serial == threaded
-
     def test_against_truncated_sum(self):
         mu = 0.01
         est = mc_blue_infidelity(blue_model(mu), samples=1_000_000, seed=1234)

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from xduce import (
+    DomainError,
     DriveCondition,
     InstabilityError,
+    LinearizedSystem,
     Mode,
     Scheme,
     TransducerConfig,
@@ -71,6 +75,10 @@ class TestBuildLinearized:
             assert sys_.g_eff**2 == pytest.approx(
                 c * device.mode_a.kappa * device.mode_b.kappa / 4.0, rel=1e-12
             )
+
+    def test_zero_total_loss_rejected(self):
+        with pytest.raises(DomainError, match="loss"):
+            LinearizedSystem(1.0, 0.0, 0.0, 1.0, 1.0, Scheme.BLUE)
 
     def test_triple_resonance_default(self, device):
         sys_ = build_linearized(device, 1e6)
@@ -228,6 +236,63 @@ class TestBlueScheme:
         assert det_at(1.001) < 0.0
         scale = device.mode_a.kappa * device.mode_b.kappa / 4.0
         assert abs(det_at(1.0)) <= 1e-9 * scale
+
+    def test_stability_resolved_next_to_threshold(self):
+        # kappa_b / kappa_a = 1e-10 puts the decisive eigenvalue 1e-16 below
+        # the other one at 1 - C = 1e-6, beyond what t/2 - sqrt(t^2/4 - det)
+        # resolves in double precision
+        ka, kb = 1e10, 1.0
+        for c, unstable in ((1.0 - 1e-6, False), (1.0 - 1e-9, False), (1.0 + 1e-6, True)):
+            g = math.sqrt(c * ka * kb / 4.0)
+            sys_ = LinearizedSystem(g, ka / 2, ka / 2, kb / 2, kb / 2, Scheme.BLUE)
+            if unstable:
+                with pytest.raises(InstabilityError):
+                    scattering_at(sys_, 0.0)
+            else:
+                assert math.isfinite(scattering_at(sys_, 0.0).conversion)
+
+    def test_weak_coupling_still_has_unit_threshold(self, device):
+        sys_ = build_linearized(device, 1e-30, Scheme.BLUE)
+        assert sys_.cooperativity < 1e-30
+        assert parametric_threshold(sys_) == 1.0
+
+    def test_detuned_threshold_zeroes_the_determinant(self):
+        # Im(m11 m22) = 0 when kappa_b*detuning_a = -kappa_a*detuning_b; the
+        # threshold then exceeds 1 and the rescaled determinant vanishes there
+        ka, kb, da = 3.0e3, 2.0e3, 5.0e3
+        db = -da * kb / ka
+        sys_ = LinearizedSystem(0.4e3, 1.0e3, 2.0e3, 0.5e3, 1.5e3, Scheme.BLUE, da, db)
+        c_star = parametric_threshold(sys_)
+        assert c_star == pytest.approx(1.0 + 4.0 * da * da / (ka * ka), rel=1e-12)
+        g_star = math.sqrt(c_star * ka * kb / 4.0)
+        m = np.array([[ka / 2 + 1j * da, 1j * g_star], [-1j * g_star, kb / 2 + 1j * db]])
+        assert abs(np.linalg.det(m)) <= 1e-12 * ka * kb
+
+    def test_complex_determinant_rejected(self):
+        sys_ = LinearizedSystem(1e3, 1e3, 2e3, 5e2, 1.5e3, Scheme.BLUE, detuning_a=4e3)
+        with pytest.raises(DomainError, match="detuned"):
+            parametric_threshold(sys_)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        log_ka=st.floats(0.0, 10.0),
+        log_kb=st.floats(0.0, 10.0),
+        log_c=st.floats(-3.0, 3.0),
+        det_a=st.floats(-5.0, 5.0),
+        det_b=st.floats(-5.0, 5.0),
+    )
+    def test_stability_matches_dense_eigenvalues(self, log_ka, log_kb, log_c, det_a, det_b):
+        from xduce.scattering import _blue_unstable
+
+        ka, kb = 10.0**log_ka, 10.0**log_kb
+        g = math.sqrt(10.0**log_c * ka * kb / 4.0)
+        sys_ = LinearizedSystem(g, ka / 2, ka / 2, kb / 2, kb / 2, Scheme.BLUE,
+                                det_a * ka, det_b * kb)
+        m = np.array([[ka / 2 + 1j * det_a * ka, 1j * g], [-1j * g, kb / 2 + 1j * det_b * kb]])
+        eigs = np.linalg.eigvals(m)
+        # skip draws whose decisive eigenvalue sits within rounding of the axis
+        assume(abs(eigs.real.min()) > 1e-9 * np.abs(eigs).max())
+        assert _blue_unstable(sys_) == (eigs.real.min() <= 0.0)
 
     def test_blue_matches_dense_solver(self, device):
         sys_ = self._blue_at(device, 0.4)

@@ -58,6 +58,26 @@ class TestPowerAxis:
             PowerAxis(1e-7, 1e-3, points=1)
         with pytest.raises(DomainError):
             PowerAxis(0.0, 1e-3, spacing="linear")
+        for bounds in ((1e-7, math.inf), (math.nan, 1e-3), (1e-7, math.nan)):
+            with pytest.raises(DomainError, match="finite"):
+                PowerAxis(*bounds, points=4, spacing="log")
+
+
+class TestSweepSpec:
+    @pytest.mark.parametrize("q_axis", [(math.nan, 9e7), (9e6, math.inf), (0.0,), ()])
+    def test_bad_q_values_rejected(self, device, q_axis):
+        with pytest.raises(DomainError, match="q_axis"):
+            SweepSpec(config=device, power_axis=PowerAxis(1e-7, 1e-3, points=4), q_axis=q_axis)
+
+    def test_numpy_q_values_become_floats(self, device):
+        spec = SweepSpec(
+            config=device,
+            power_axis=PowerAxis(1e-7, 1e-3, points=4),
+            q_axis=np.array([9e7, 9e6]),
+        )
+        assert spec.q_axis == (9e7, 9e6)
+        assert all(type(q) is float for q in spec.q_axis)
+        assert {repr(row.q_b) for row in run_sweep(spec)} == {"9000000.0", "90000000.0"}
 
 
 class TestRetune:
