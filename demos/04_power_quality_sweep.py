@@ -43,17 +43,18 @@ spec = SweepSpec(
     outputs=("efficiency", "cooperativity", "infidelity"),
     herald_options=HeraldOptions(dt=1e-6, r0_mapping="c_kappa_b"),
 )
-rows = run_sweep(spec)
-print(f"swept {len(rows)} operating points")
+table = run_sweep(spec)  # a SweepTable: one list per column, sorted by Q then power
+print(f"swept {len(table)} operating points")
 
 for q_b in spec.q_axis:
-    per_q = [r for r in rows if r.q_b == q_b]
-    best = max(per_q, key=lambda r: r.eta)
+    rows_at_q = [i for i, q in enumerate(table.q_b) if q == q_b]
+    best = max(rows_at_q, key=table.eta.__getitem__)
     cfg = retune_microwave_q(device, q_b)
     p_star = critical_pump_power(cfg)
     p_opt, eta_opt = maximize_efficiency(cfg, (p_star / 100, p_star * 100))
     print(f"Q = {q_b:.1e}:")
-    print(f"  grid peak      : eta = {best.eta:.4f} at P = {best.pump_power_w:.3e} W")
+    eta_best, p_best = table.eta[best], table.pump_power_w[best]
+    print(f"  grid peak      : eta = {eta_best:.4f} at P = {p_best:.3e} W")
     print(f"  golden section : eta = {eta_opt:.4f} at P = {p_opt:.3e} W")
     print(f"  closed form P* : {p_star:.3e} W")
 
@@ -65,10 +66,8 @@ print(f"peak-power ratio P*(10Q)/P*(Q) = {p_high / p_low:.3f}")
 csv_path = OUT / "sweep_demo.csv"
 with open(csv_path, "w") as handle:
     handle.write("pump_power_w,q_b,n_p,cooperativity,eta_internal,eta,infidelity\n")
-    for r in rows:
-        handle.write(f"{r.pump_power_w!r},{r.q_b!r},{r.n_p!r},"
-                     f"{r.cooperativity!r},{r.eta_i!r},{r.eta!r},{r.infidelity!r}\n")
+    handle.writelines(map("{!r},{!r},{!r},{!r},{!r},{!r},{!r}\n".format, *table.columns()))
 svg_path = OUT / "sweep_demo.svg"
-svg_path.write_text(render_sweep_svg(rows, spec.outputs,
+svg_path.write_text(render_sweep_svg(table, spec.outputs,
                                      note="r0 mapping: c_kappa_b (modeling assumption)"))
 print(f"wrote {csv_path.name} and {svg_path.name}")

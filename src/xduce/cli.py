@@ -19,13 +19,14 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 
 import numpy as np
 
-from . import core, herald, scattering, svgplot
+from . import core, herald, scattering, svgplot, sweep
 from .config import RunConfig, dump_normalized, load_config
 from .core import Scheme
 from .errors import (
@@ -41,57 +42,30 @@ VERIFY_TOLERANCE = 1e-9
 SWEEP_HEADER = "pump_power_w,q_b,n_p,cooperativity,eta_internal,eta,infidelity"
 
 
-def _fmt_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return repr(value)
-
-
 def _emit_record(record: dict, fmt: str, stream) -> None:
     if fmt == "jsonl":
         stream.write(json.dumps(record) + "\n")
     else:
         stream.write(",".join(record.keys()) + "\n")
-        stream.write(",".join(_fmt_value(v) for v in record.values()) + "\n")
+        cells = ("" if v is None else v if isinstance(v, str) else repr(v)
+                 for v in record.values())
+        stream.write(",".join(cells) + "\n")
 
 
-def _sweep_lines(rows, fmt: str):
+def _sweep_lines(table, fmt: str):
+    """The table's lines, each row formatted by one template from the
+    columns. run_sweep only returns finite floats, whose ``repr`` is also
+    their JSON form."""
+    columns = table.columns()
+    cells = ["{!r}"] * len(columns)
+    if table.infidelity is None:
+        columns = columns[:-1]
+        cells[-1] = "null" if fmt == "jsonl" else ""
     if fmt == "jsonl":
-        for row in rows:
-            yield json.dumps(
-                {
-                    "pump_power_w": row.pump_power_w,
-                    "q_b": row.q_b,
-                    "n_p": row.n_p,
-                    "cooperativity": row.cooperativity,
-                    "eta_internal": row.eta_i,
-                    "eta": row.eta,
-                    "infidelity": row.infidelity,
-                }
-            ) + "\n"
-        return
-    yield SWEEP_HEADER + "\n"
-    for row in rows:
-        fields = (
-            row.pump_power_w, row.q_b, row.n_p, row.cooperativity,
-            row.eta_i, row.eta, row.infidelity,
-        )
-        yield ",".join(_fmt_value(f) for f in fields) + "\n"
-
-
-def _resolve_herald_model(run: RunConfig) -> herald.HeraldModel:
-    options = run.herald
-    if options is None:
-        raise ConfigError("missing [herald] section")
-    if options.r0_mapping == "direct":
-        r0 = float(options.r0_value)
-    else:
-        n_p = core.intracavity_photon_number(run.transducer.mode_p, run.drive)
-        c = core.cooperativity(run.transducer, n_p)
-        r0 = c * run.transducer.mode_b.kappa
-    return herald.HeraldModel(r0=r0, dt=options.dt, scheme=run.drive.scheme)
+        pairs = (f'"{name}": {cell}' for name, cell in zip(SWEEP_HEADER.split(","), cells))
+        return map(("{{" + ", ".join(pairs) + "}}\n").format, *columns)
+    lines = map((",".join(cells) + "\n").format, *columns)
+    return itertools.chain((SWEEP_HEADER + "\n",), lines)
 
 
 def cmd_efficiency(run: RunConfig, args) -> int:
@@ -110,8 +84,6 @@ def cmd_efficiency(run: RunConfig, args) -> int:
 
 
 def cmd_sweep(run: RunConfig, args) -> int:
-    from . import sweep as sweep_mod
-
     spec = run.sweep
     if spec is None:
         raise ConfigError("missing [sweep] section")
@@ -119,28 +91,35 @@ def cmd_sweep(run: RunConfig, args) -> int:
     if spec.herald_options is not None and spec.herald_options.r0_mapping == "c_kappa_b":
         note = "r0 mapping: c_kappa_b (r0 = C * kappa_b), an explicit modeling assumption"
         print(note, file=sys.stderr)
-    rows = sweep_mod.run_sweep(spec)
-    fmt = args.format or run.out_format
-    table_path = run.table_path
-    if table_path:
-        with open(table_path, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(_sweep_lines(rows, fmt))
+    table = sweep.run_sweep(spec)
+    lines = _sweep_lines(table, args.format or run.out_format)
+    if run.table_path:
+        with open(run.table_path, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(lines)
     else:
-        sys.stdout.writelines(_sweep_lines(rows, fmt))
+        sys.stdout.writelines(lines)
     plot_path = args.plot or run.plot_path
     if plot_path:
-        document = svgplot.render_sweep_svg(rows, spec.outputs, note=note)
+        document = svgplot.render_sweep_svg(table, spec.outputs, note=note)
         with open(plot_path, "w", encoding="utf-8") as handle:
             handle.write(document)
     return 0
 
 
+def _gap_scale(estimate: herald.McEstimate) -> float:
+    """The MC standard error, or if it is 0 the (positive) z = 1 Wilson score half-width."""
+    if estimate.standard_error > 0.0:
+        return estimate.standard_error
+    n, p = estimate.samples, estimate.infidelity_mean
+    return math.sqrt(p * (1.0 - p) / n + 1.0 / (4.0 * n * n)) / (1.0 + 1.0 / n)
+
+
 def cmd_herald(run: RunConfig, args) -> int:
-    model = _resolve_herald_model(run)
-    if model.scheme is Scheme.BLUE:
-        breakdown = herald.blue_breakdown(model)
-    else:
-        breakdown = herald.red_breakdown(model)
+    if run.herald is None:
+        raise ConfigError("missing [herald] section")
+    model = run.herald.model_at(run.transducer, run.drive)
+    blue = model.scheme is Scheme.BLUE
+    breakdown = herald.blue_breakdown(model) if blue else herald.red_breakdown(model)
     record = {
         "scheme": model.scheme.value,
         "mu": model.mu,
@@ -151,14 +130,11 @@ def cmd_herald(run: RunConfig, args) -> int:
         "infidelity": breakdown.infidelity,
     }
     if args.mc is not None:
-        if model.scheme is not Scheme.BLUE:
+        if not blue:
             raise UsageError("--mc is only supported for the blue scheme")
         seed = args.seed if args.seed is not None else run.seed
         estimate = herald.mc_blue_infidelity(model, samples=args.mc, seed=seed)
-        if estimate.standard_error > 0.0:
-            gap = (breakdown.infidelity - estimate.infidelity_mean) / estimate.standard_error
-        else:
-            gap = 0.0 if breakdown.infidelity == estimate.infidelity_mean else math.inf
+        gap = (breakdown.infidelity - estimate.infidelity_mean) / _gap_scale(estimate)
         record.update(
             mc_samples=estimate.samples,
             mc_infidelity=estimate.infidelity_mean,

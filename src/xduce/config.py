@@ -207,6 +207,8 @@ def load_config(path: str) -> RunConfig:
                     raise ConfigError(
                         f"[output] field 'seed': not an integer: {osec.get('seed')!r}"
                     ) from None
+                if seed < 0:
+                    raise ConfigError(f"[output] field 'seed': must be non-negative, got {seed}")
     except ConfigError:
         raise
     except (ValueError, ArithmeticError) as exc:

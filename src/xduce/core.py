@@ -176,18 +176,67 @@ def kappa_to_lifetime(kappa: float) -> float:
     return 1.0 / kappa
 
 
-def intracavity_photon_number(mode_p: Mode, drive: DriveCondition) -> float:
+def overflow_error(c: float) -> DomainError:
+    """The error for a cooperativity whose (1+C)^2 is not a finite double."""
+    return DomainError(f"C = {c!r} is too large: (1+C)^2 overflows")
+
+
+def _pump_buildup(mode_p: Mode, pump_detuning: float) -> float:
+    kp = mode_p.kappa
+    try:
+        buildup = HBAR * mode_p.omega * ((kp / 2.0) ** 2 + pump_detuning**2)
+    except OverflowError:
+        raise DomainError(
+            f"(kappa_p/2)^2 + delta_p^2 overflows: kappa_p = {kp!r}, delta_p = {pump_detuning!r}"
+        ) from None
+    if not 0.0 < buildup < math.inf:
+        raise DomainError(f"pump buildup hbar * omega_p * ((kappa_p/2)^2 + delta_p^2) must be "
+                          f"positive and finite, got {buildup!r}")
+    return buildup
+
+
+def photon_number(mode_p: Mode, pump_power, pump_detuning: float = 0.0):
     """Steady-state pump photon number from the drive power.
 
     Single-mode input-output buildup:
 
         n_p = kappa_p_ex * P / (hbar * omega_p * ((kappa_p/2)^2 + delta_p^2))
 
-    Strictly linear in the power, so zero power gives exactly zero.
+    Linear in the power, zero gives exactly zero; a float or a NumPy array
+    of powers gives the same bits.
     """
-    kp = mode_p.kappa
-    denominator = HBAR * mode_p.omega * ((kp / 2.0) ** 2 + drive.pump_detuning**2)
-    return mode_p.kappa_ex * drive.pump_power / denominator
+    return mode_p.kappa_ex * pump_power / _pump_buildup(mode_p, pump_detuning)
+
+
+def intracavity_photon_number(mode_p: Mode, drive: DriveCondition) -> float:
+    """:func:`photon_number` at a drive condition."""
+    return photon_number(mode_p, drive.pump_power, drive.pump_detuning)
+
+
+def _coupling(cfg: TransducerConfig) -> tuple[float, float]:
+    kappa_ab = cfg.mode_a.kappa * cfg.mode_b.kappa
+    if kappa_ab == 0.0:
+        raise DomainError("cooperativity undefined: kappa_a * kappa_b is zero")
+    try:
+        return cfg.g_eo**2, kappa_ab
+    except OverflowError:
+        raise DomainError(f"g_eo = {cfg.g_eo!r} is too large: g_eo^2 overflows") from None
+
+
+def chain_scalars(cfg: TransducerConfig) -> tuple[float, float, float, float]:
+    """The device's arguments to :func:`efficiency_chain`."""
+    return (*_coupling(cfg), cfg.mode_a.extraction, cfg.mode_b.extraction)
+
+
+def efficiency_chain(n_p, g_eo_sq: float, kappa_ab: float, extraction_a: float,
+                     extraction_b: float):
+    """C, (1+C)^2, eta_i and eta from the pump photon number, in plain
+    arithmetic: ``n_p`` may be a float or a NumPy array, with the same bits.
+    A non-finite (1+C)^2 means the chain overflowed; callers reject it."""
+    c = 4.0 * n_p * g_eo_sq / kappa_ab
+    square = (1.0 + c) * (1.0 + c)
+    eta_i = 4.0 * c / square
+    return c, square, eta_i, extraction_a * extraction_b * eta_i
 
 
 def cooperativity(cfg: TransducerConfig, n_p: float) -> float:
@@ -197,10 +246,7 @@ def cooperativity(cfg: TransducerConfig, n_p: float) -> float:
     the two converted modes; C = 1 is the critical-coupling point.
     """
     _require_non_negative(n_p, "n_p")
-    denominator = cfg.mode_a.kappa * cfg.mode_b.kappa
-    if denominator == 0.0:
-        raise DomainError("cooperativity undefined: kappa_a * kappa_b is zero")
-    return 4.0 * n_p * cfg.g_eo**2 / denominator
+    return efficiency_chain(n_p, *_coupling(cfg), 1.0, 1.0)[0]
 
 
 def internal_efficiency(c: float) -> float:
@@ -210,10 +256,10 @@ def internal_efficiency(c: float) -> float:
     critical point and decreasing above it.
     """
     _require_non_negative(c, "C")
-    try:
-        return 4.0 * c / (1.0 + c) ** 2
-    except OverflowError:
-        raise DomainError(f"C = {c!r} is too large: (1+C)^2 overflows") from None
+    square = (1.0 + c) * (1.0 + c)
+    if not math.isfinite(square):
+        raise overflow_error(c)
+    return 4.0 * c / square
 
 
 def conversion_efficiency(cfg: TransducerConfig, n_p: float) -> EfficiencyBreakdown:
@@ -224,24 +270,20 @@ def conversion_efficiency(cfg: TransducerConfig, n_p: float) -> EfficiencyBreakd
     losses. eta is the success probability of the transduction process and
     lies in [0, 1].
     """
-    c = cooperativity(cfg, n_p)
-    eta_i = internal_efficiency(c)
-    ex_a = cfg.mode_a.extraction
-    ex_b = cfg.mode_b.extraction
-    return EfficiencyBreakdown(
-        extraction_a=ex_a,
-        extraction_b=ex_b,
-        cooperativity=c,
-        eta_i=eta_i,
-        eta=ex_a * ex_b * eta_i,
-    )
+    _require_non_negative(n_p, "n_p")
+    g_eo_sq, kappa_ab, ex_a, ex_b = chain_scalars(cfg)
+    c, square, eta_i, eta = efficiency_chain(n_p, g_eo_sq, kappa_ab, ex_a, ex_b)
+    if not math.isfinite(square):
+        raise overflow_error(c)
+    return EfficiencyBreakdown(ex_a, ex_b, c, eta_i, eta)
 
 
 def critical_photon_number(cfg: TransducerConfig) -> float:
     """Pump photon number n_p* = kappa_a kappa_b / (4 g_eo^2) giving C = 1."""
     if cfg.g_eo == 0.0:
         raise NoCriticalPointError("g_eo = 0: no pump level reaches critical coupling")
-    return cfg.mode_a.kappa * cfg.mode_b.kappa / (4.0 * cfg.g_eo**2)
+    g_eo_sq, kappa_ab = _coupling(cfg)
+    return kappa_ab / (4.0 * g_eo_sq)
 
 
 def critical_pump_power(cfg: TransducerConfig, pump_detuning: float = 0.0) -> float:
@@ -251,10 +293,7 @@ def critical_pump_power(cfg: TransducerConfig, pump_detuning: float = 0.0) -> fl
     through the forward formula is consistent to better than 1e-12
     relative.
     """
-    _require_finite(pump_detuning, "pump_detuning")
     if cfg.mode_p.kappa_ex == 0.0:
         raise UndriveablePumpError("pump mode has kappa_ex = 0 and cannot be driven")
     n_star = critical_photon_number(cfg)
-    kp = cfg.mode_p.kappa
-    numerator = HBAR * cfg.mode_p.omega * ((kp / 2.0) ** 2 + pump_detuning**2)
-    return n_star * numerator / cfg.mode_p.kappa_ex
+    return n_star * _pump_buildup(cfg.mode_p, pump_detuning) / cfg.mode_p.kappa_ex

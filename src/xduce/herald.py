@@ -97,14 +97,16 @@ def blue_breakdown(model: HeraldModel) -> HeraldBreakdown:
     """
     if model.scheme is not Scheme.BLUE:
         raise UsageError("blue_breakdown requires a blue-scheme model")
-    mu = model.mu
+    return HeraldBreakdown(*blue_probabilities(model.mu), scheme=Scheme.BLUE)
+
+
+def blue_probabilities(mu: float) -> tuple[float, float, float, float, float]:
+    """P0, P1, P11, Pmn and the infidelity Pmn + P11 of :func:`blue_breakdown`."""
     p0 = math.exp(-mu)
-    p1 = mu * math.exp(-mu)
+    p1 = mu * p0
     p11 = p1 * p1
     pmn = 2.0 * (1.0 - p0 - p1)
-    return HeraldBreakdown(
-        p0=p0, p1=p1, p11=p11, pmn=pmn, infidelity=pmn + p11, scheme=Scheme.BLUE
-    )
+    return p0, p1, p11, pmn, pmn + p11
 
 
 def red_breakdown(model: HeraldModel) -> HeraldBreakdown:

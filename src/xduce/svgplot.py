@@ -9,7 +9,9 @@ placed on a log axis and are skipped.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from xml.etree import ElementTree as ET
 
 WIDTH = 800.0
@@ -17,10 +19,11 @@ HEIGHT = 600.0
 _MARGIN = dict(left=60.0, right=20.0, top=40.0, bottom=50.0)
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
-_COLUMN_LABEL = {
-    "efficiency": "eta",
-    "cooperativity": "C",
-    "infidelity": "infidelity",
+# output name -> (SweepTable column, panel title)
+_COLUMNS = {
+    "efficiency": ("eta", "eta"),
+    "cooperativity": ("cooperativity", "C"),
+    "infidelity": ("infidelity", "infidelity"),
 }
 
 
@@ -28,33 +31,21 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _path_data(points: list[tuple[float, float]]) -> str:
-    parts = [f"{'M' if i == 0 else 'L'} {_fmt(x)} {_fmt(y)}" for i, (x, y) in enumerate(points)]
-    return " ".join(parts)
+def _text(svg, x: float, y: float, text: str, **attrs) -> None:
+    ET.SubElement(svg, "text", x=_fmt(x), y=_fmt(y), **attrs).text = text
 
 
-def _column_value(row, output: str):
-    if output == "efficiency":
-        return row.eta
-    if output == "cooperativity":
-        return row.cooperativity
-    if output == "infidelity":
-        return row.infidelity
-    raise ValueError(f"no such output column: {output!r}")
-
-
-def _panel(svg, rows_by_q, output: str, x0: float, panel_w: float, note: str | None):
-    log_y = output == "infidelity"
-    xs, ys = [], []
-    for rows in rows_by_q.values():
-        for row in rows:
-            value = _column_value(row, output)
-            if value is None or row.pump_power_w <= 0.0:
-                continue
-            if log_y and value <= 0.0:
-                continue
-            xs.append(row.pump_power_w)
-            ys.append(value)
+def _panel(svg, table, values, title: str, log_y: bool, x0: float, panel_w: float,
+           note: str | None):
+    # per Q, the points a log power axis (and a log-y axis) can place; a
+    # sweep table is sorted by Q, so each Q is one run of rows
+    points_by_q = {
+        q: [(p, v) for _, p, v in run if p > 0.0 and (v > 0.0 or not log_y)]
+        for q, run in itertools.groupby(zip(table.q_b, table.pump_power_w, values),
+                                        key=operator.itemgetter(0))
+    }
+    xs = [p for points in points_by_q.values() for p, _ in points]
+    ys = [v for points in points_by_q.values() for _, v in points]
     plot_x0 = x0 + _MARGIN["left"]
     plot_x1 = x0 + panel_w - _MARGIN["right"]
     plot_y0 = _MARGIN["top"]
@@ -71,13 +62,6 @@ def _panel(svg, rows_by_q, output: str, x0: float, panel_w: float, note: str | N
     if y_max == y_min:
         y_min, y_max = y_min - 0.5, y_max + 0.5
 
-    def to_x(p):
-        return plot_x0 + (math.log10(p) - lx_min) / (lx_max - lx_min) * (plot_x1 - plot_x0)
-
-    def to_y(v):
-        t = math.log10(v) if log_y else v
-        return plot_y1 - (t - y_min) / (y_max - y_min) * (plot_y1 - plot_y0)
-
     # frame
     for x1, y1, x2, y2 in (
         (plot_x0, plot_y1, plot_x1, plot_y1),
@@ -89,63 +73,46 @@ def _panel(svg, rows_by_q, output: str, x0: float, panel_w: float, note: str | N
             stroke="black", **{"stroke-width": "1"},
         )
     # axis labels and range ticks
-    title = ET.SubElement(
-        svg, "text", x=_fmt((plot_x0 + plot_x1) / 2), y=_fmt(plot_y0 - 14.0),
-        **{"text-anchor": "middle", "font-size": "14"},
-    )
-    title.text = _COLUMN_LABEL.get(output, output)
+    _text(svg, (plot_x0 + plot_x1) / 2, plot_y0 - 14.0, title,
+          **{"text-anchor": "middle", "font-size": "14"})
     for frac, value in ((0.0, 10.0**lx_min), (1.0, 10.0**lx_max)):
-        tick = ET.SubElement(
-            svg, "text",
-            x=_fmt(plot_x0 + frac * (plot_x1 - plot_x0)), y=_fmt(plot_y1 + 16.0),
-            **{"text-anchor": "middle", "font-size": "10"},
-        )
-        tick.text = f"{value:.3g}"
-    xlabel = ET.SubElement(
-        svg, "text", x=_fmt((plot_x0 + plot_x1) / 2), y=_fmt(plot_y1 + 34.0),
-        **{"text-anchor": "middle", "font-size": "11"},
-    )
-    xlabel.text = "pump power (W)"
+        _text(svg, plot_x0 + frac * (plot_x1 - plot_x0), plot_y1 + 16.0, f"{value:.3g}",
+              **{"text-anchor": "middle", "font-size": "10"})
+    _text(svg, (plot_x0 + plot_x1) / 2, plot_y1 + 34.0, "pump power (W)",
+          **{"text-anchor": "middle", "font-size": "11"})
     for frac, t in ((0.0, y_min), (1.0, y_max)):
-        label = 10.0**t if log_y else t
-        tick = ET.SubElement(
-            svg, "text",
-            x=_fmt(plot_x0 - 6.0), y=_fmt(plot_y1 - frac * (plot_y1 - plot_y0) + 4.0),
-            **{"text-anchor": "end", "font-size": "10"},
-        )
-        tick.text = f"{label:.3g}"
+        _text(svg, plot_x0 - 6.0, plot_y1 - frac * (plot_y1 - plot_y0) + 4.0,
+              f"{10.0**t if log_y else t:.3g}", **{"text-anchor": "end", "font-size": "10"})
     if note:
-        memo = ET.SubElement(
-            svg, "text", x=_fmt(plot_x0), y=_fmt(plot_y1 + 46.0), **{"font-size": "9"},
-        )
-        memo.text = note
+        _text(svg, plot_x0, plot_y1 + 46.0, note, **{"font-size": "9"})
 
-    for idx, (q, rows) in enumerate(rows_by_q.items()):
-        points = []
-        for row in rows:
-            value = _column_value(row, output)
-            if value is None or row.pump_power_w <= 0.0 or (log_y and value <= 0.0):
-                continue
-            points.append((to_x(row.pump_power_w), to_y(value)))
+    x_span, x_width = lx_max - lx_min, plot_x1 - plot_x0
+    y_span, y_height = y_max - y_min, plot_y1 - plot_y0
+    for idx, points in enumerate(points_by_q.values()):
         if not points:
             continue
+        coords = [
+            "%.2f %.2f" % (
+                plot_x0 + (math.log10(p) - lx_min) / x_span * x_width,
+                plot_y1 - ((math.log10(v) if log_y else v) - y_min) / y_span * y_height,
+            )
+            for p, v in points
+        ]
         ET.SubElement(
             svg, "path",
-            d=_path_data(points), fill="none",
+            d="M " + " L ".join(coords), fill="none",
             stroke=_PALETTE[idx % len(_PALETTE)], **{"stroke-width": "1.5"},
         )
 
 
-def render_sweep_svg(rows, outputs, note: str | None = None) -> str:
-    """Render sweep rows to an SVG document string.
+def render_sweep_svg(table, outputs, note: str | None = None) -> str:
+    """Render a sweep table to an SVG document string.
 
-    ``rows`` is the output of :func:`xduce.sweep.run_sweep`; ``outputs``
-    the ordered output columns to draw, one panel each. ``note`` is an
-    optional annotation (e.g. the r0 mapping in effect).
+    ``table`` is the :class:`xduce.sweep.SweepTable` of
+    :func:`xduce.sweep.run_sweep`, read by column; ``outputs`` the ordered
+    output columns to draw, one panel each. ``note`` is an optional
+    annotation (e.g. the r0 mapping in effect).
     """
-    rows_by_q: dict[float, list] = {}
-    for row in rows:
-        rows_by_q.setdefault(row.q_b, []).append(row)
     svg = ET.Element(
         "svg",
         xmlns="http://www.w3.org/2000/svg",
@@ -156,16 +123,19 @@ def render_sweep_svg(rows, outputs, note: str | None = None) -> str:
     outputs = list(outputs)
     panel_w = WIDTH / max(1, len(outputs))
     for i, output in enumerate(outputs):
-        _panel(svg, rows_by_q, output, i * panel_w, panel_w, note if i == 0 else None)
+        if output not in _COLUMNS:
+            raise ValueError(f"no such output column: {output!r}")
+        column, title = _COLUMNS[output]
+        values = getattr(table, column)
+        if values is not None:
+            _panel(svg, table, values, title, output == "infidelity", i * panel_w, panel_w,
+                   note if i == 0 else None)
     # legend, one swatch per Q
-    for idx, q in enumerate(rows_by_q):
+    for idx, q in enumerate(dict.fromkeys(table.q_b)):
         y = 14.0 + 14.0 * idx
         ET.SubElement(
             svg, "rect", x=_fmt(WIDTH - 150.0), y=_fmt(y - 8.0),
             width="18", height="4", fill=_PALETTE[idx % len(_PALETTE)],
         )
-        label = ET.SubElement(
-            svg, "text", x=_fmt(WIDTH - 126.0), y=_fmt(y), **{"font-size": "11"},
-        )
-        label.text = f"Q = {q:.4g}"
+        _text(svg, WIDTH - 126.0, y, f"Q = {q:.4g}", **{"font-size": "11"})
     return ET.tostring(svg, encoding="unicode")

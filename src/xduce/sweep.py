@@ -1,16 +1,17 @@
 """Parameter sweeps over pump power and microwave quality factor.
 
-Produces the flat tables behind efficiency / cooperativity / infidelity
+Produces the tables behind efficiency / cooperativity / infidelity
 versus power curves (one curve per Q) and locates the optimal operating
 power, both by scanning and by golden-section search against the closed
-form. Rows are pure functions of the sweep specification, so a sweep is
-deterministic bit for bit.
+form. Tables are computed by column, one NumPy pass of the closed-form
+chain per Q, and hold the bits the scalar API gives at each point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -88,10 +89,17 @@ class HeraldOptions:
         if not (math.isfinite(self.dt) and self.dt >= 0.0):
             raise DomainError(f"dt must be finite and non-negative, got {self.dt!r}")
 
-    def rate_for(self, cooperativity: float, kappa_b: float) -> float:
+    def rate_for(self, cooperativity, kappa_b: float):
+        """r0 (1/s) at a cooperativity: a float, or an array of them."""
         if self.r0_mapping == "direct":
             return float(self.r0_value)
         return cooperativity * kappa_b
+
+    def model_at(self, cfg: TransducerConfig, drive: DriveCondition) -> herald.HeraldModel:
+        """The herald model at one operating point, in the drive's scheme."""
+        c = 0.0 if self.r0_mapping == "direct" else core.cooperativity(
+            cfg, core.intracavity_photon_number(cfg.mode_p, drive))
+        return herald.HeraldModel(self.rate_for(c, cfg.mode_b.kappa), self.dt, drive.scheme)
 
 
 @dataclass(frozen=True)
@@ -134,6 +142,33 @@ class SweepRow:
     infidelity: float | None = None
 
 
+@dataclass(frozen=True)
+class SweepTable:
+    """A sweep's results, one list of floats per :class:`SweepRow` field,
+    sorted by Q_b, then power; ``infidelity`` is None unless requested.
+    ``len``, indexing and iteration treat it as a sequence of rows."""
+
+    pump_power_w: list[float]
+    q_b: list[float]
+    n_p: list[float]
+    cooperativity: list[float]
+    eta_i: list[float]
+    eta: list[float]
+    infidelity: list[float] | None = None
+
+    def columns(self) -> tuple:
+        return tuple(getattr(self, field.name) for field in fields(self))
+
+    def __len__(self) -> int:
+        return len(self.pump_power_w)
+
+    def __getitem__(self, index: int) -> SweepRow:
+        return SweepRow(*(col[index] for col in self.columns() if col is not None))
+
+    def __iter__(self):
+        return map(SweepRow, *(col for col in self.columns() if col is not None))
+
+
 def retune_microwave_q(cfg: TransducerConfig, q_b: float) -> TransducerConfig:
     """Rescale the microwave losses so the total Q becomes ``q_b``.
 
@@ -149,60 +184,56 @@ def retune_microwave_q(cfg: TransducerConfig, q_b: float) -> TransducerConfig:
     return replace(cfg, mode_b=new_b)
 
 
-def _infidelity_at(
-    cfg: TransducerConfig, c: float, options: HeraldOptions
-) -> float:
-    if options.scheme is not Scheme.BLUE:
-        raise UsageError("infidelity columns are defined for the blue scheme")
-    r0 = options.rate_for(c, cfg.mode_b.kappa)
-    model = herald.HeraldModel(r0=r0, dt=options.dt, scheme=Scheme.BLUE)
-    if model.mu >= herald.MAX_POISSON_MEAN:
-        raise ModelRegimeError(
-            f"mu = {model.mu:.6g} is outside the herald model regime (mu < "
-            f"{herald.MAX_POISSON_MEAN:g})"
-        )
-    return herald.blue_breakdown(model).infidelity
+def _columns(cfg: TransducerConfig, powers: np.ndarray, pump_detuning: float, q_b: float,
+             options: HeraldOptions | None) -> tuple:
+    """n_p, C, eta_i, eta and infidelity (None without ``options``) lists at
+    one Q. The first power where the chain fails (a non-finite (1+C)^2 or
+    r0, or mu >= 10) raises, with its coordinates. Infidelity goes through
+    ``math.exp`` like the scalar breakdown, once if r0 is fixed."""
+    with np.errstate(all="ignore"):
+        n_p = core.photon_number(cfg.mode_p, powers, pump_detuning)
+        c, square, eta_i, eta = core.efficiency_chain(n_p, *core.chain_scalars(cfg))
+        overflow = ~np.isfinite(square)
+        failed = overflow
+        if options is not None:
+            r0 = np.broadcast_to(options.rate_for(c, cfg.mode_b.kappa), powers.shape)
+            mu = r0 * options.dt
+            bad_rate = ~(np.isfinite(r0) & (r0 >= 0.0))
+            failed = overflow | bad_rate | (mu >= herald.MAX_POISSON_MEAN)
+    if failed.any():
+        i = int(failed.argmax())
+        where = f"sweep failed at Q_b = {q_b:g}, power = {powers[i]:g} W"
+        if overflow[i]:
+            raise DomainError(f"{where}: {core.overflow_error(float(c[i]))}")
+        if bad_rate[i]:
+            r0_i = float(r0[i])
+            raise DomainError(f"{where}: r0 must be finite and non-negative, got {r0_i!r}")
+        raise ModelRegimeError(f"{where}: mu = {mu[i]:.6g} is outside the herald model "
+                               f"regime (mu < {herald.MAX_POISSON_MEAN:g})")
+    infidelity = None
+    if options is not None and options.r0_mapping == "direct":
+        infidelity = [herald.blue_probabilities(float(mu[0]))[4]] * len(powers)
+    elif options is not None:
+        infidelity = [herald.blue_probabilities(m)[4] for m in mu.tolist()]
+    return n_p.tolist(), c.tolist(), eta_i.tolist(), eta.tolist(), infidelity
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate every (Q_b, power) pair of the spec, in that sort order.
-
-    A failure at any grid point aborts the sweep with the offending
-    coordinates attached to the error message.
-    """
+    The first failing point aborts the sweep, with its coordinates."""
     powers = spec.power_axis.grid()
-    want_infidelity = "infidelity" in spec.outputs
-    rows: list[SweepRow] = []
-    for q_b in sorted(spec.q_axis):
-        cfg = retune_microwave_q(spec.config, q_b)
-        for power in powers:
-            power = float(power)
-            try:
-                drive = DriveCondition(pump_power=power, pump_detuning=spec.pump_detuning)
-                n_p = core.intracavity_photon_number(cfg.mode_p, drive)
-                breakdown = core.conversion_efficiency(cfg, n_p)
-                infidelity = None
-                if want_infidelity:
-                    infidelity = _infidelity_at(cfg, breakdown.cooperativity, spec.herald_options)
-            except Exception as exc:
-                msg = f"sweep failed at Q_b = {q_b:g}, power = {power:g} W: {exc}"
-                try:
-                    wrapped = type(exc)(msg)
-                except Exception:
-                    wrapped = RuntimeError(msg)
-                raise wrapped from exc
-            rows.append(
-                SweepRow(
-                    pump_power_w=power,
-                    q_b=q_b,
-                    n_p=n_p,
-                    cooperativity=breakdown.cooperativity,
-                    eta_i=breakdown.eta_i,
-                    eta=breakdown.eta,
-                    infidelity=infidelity,
-                )
-            )
-    return rows
+    options = spec.herald_options if "infidelity" in spec.outputs else None
+    if options is not None and options.scheme is not Scheme.BLUE:
+        raise UsageError("infidelity columns are defined for the blue scheme")
+    q_axis = sorted(spec.q_axis)
+    per_q = [_columns(retune_microwave_q(spec.config, q_b), powers, spec.pump_detuning, q_b,
+                      options) for q_b in q_axis]
+    n_p, c, eta_i, eta, infidelity = (
+        None if parts[0] is None else list(itertools.chain.from_iterable(parts))
+        for parts in zip(*per_q)
+    )
+    q_b = [q for q in q_axis for _ in range(len(powers))]
+    return SweepTable(powers.tolist() * len(q_axis), q_b, n_p, c, eta_i, eta, infidelity)
 
 
 def infidelity_curve(
@@ -219,14 +250,9 @@ def infidelity_curve(
     """
     if options.scheme is not Scheme.BLUE:
         raise UsageError("infidelity_curve is defined for the blue scheme")
-    out = []
-    for power in power_axis.grid():
-        power = float(power)
-        drive = DriveCondition(pump_power=power, pump_detuning=pump_detuning)
-        n_p = core.intracavity_photon_number(cfg.mode_p, drive)
-        c = core.cooperativity(cfg, n_p)
-        out.append((power, _infidelity_at(cfg, c, options)))
-    return out
+    powers = power_axis.grid()
+    q_b = cfg.mode_b.omega / cfg.mode_b.kappa
+    return list(zip(powers.tolist(), _columns(cfg, powers, pump_detuning, q_b, options)[4]))
 
 
 def _golden_section_max(f, lo: float, hi: float, rtol: float = _GOLDEN_RTOL):
@@ -272,8 +298,7 @@ def maximize_efficiency(
         raise BracketingError(f"invalid bracket {power_bracket!r}")
 
     def eta_at(power: float) -> float:
-        drive = DriveCondition(pump_power=power, pump_detuning=pump_detuning)
-        n_p = core.intracavity_photon_number(cfg.mode_p, drive)
+        n_p = core.photon_number(cfg.mode_p, power, pump_detuning)
         return core.conversion_efficiency(cfg, n_p).eta
 
     h = (hi - lo) * 1e-7

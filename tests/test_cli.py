@@ -6,15 +6,19 @@ import sys
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
+import numpy as np
 import pytest
 
 from xduce import (
+    DriveCondition,
     HeraldModel,
     Scheme,
+    blue_breakdown,
     conversion_efficiency,
     critical_pump_power,
     intracavity_photon_number,
     mc_blue_infidelity,
+    retune_microwave_q,
 )
 from xduce.cli import run_cli
 from xduce.config import load_config
@@ -22,6 +26,7 @@ from xduce.config import load_config
 HERE = Path(__file__).resolve().parent
 SHIPPED_FIXTURE = HERE.parent / "configs" / "device.ini"
 GOLDEN_CSV = HERE / "data" / "golden_sweep.csv"
+SWEEP_HEADER = "pump_power_w,q_b,n_p,cooperativity,eta_internal,eta,infidelity"
 
 DEVICE_SECTION = """\
 [device]
@@ -163,6 +168,33 @@ class TestSweepCommand:
             "pump_power_w", "q_b", "n_p", "cooperativity", "eta_internal", "eta", "infidelity",
         }
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_table_bytes_match_scalar_reference(self, tmp_path, fmt):
+        # a c_kappa_b sweep, with one infidelity per point, against rows built
+        # one at a time from the scalar API
+        text = GOLDEN_TEMPLATE.replace("r0_mapping = direct", "r0_mapping = c_kappa_b")
+        text = text.replace("dt_s = 1e-3", "dt_s = 3e-7").replace("power_points = 6",
+                                                                  "power_points = 40")
+        table = tmp_path / f"out.{fmt}"
+        assert run_cli(["sweep", "--config", write_config(tmp_path, text.format(table=table)),
+                        "--format", fmt]) == 0
+        run = load_config(str(tmp_path / "run.ini"))
+        lines = [] if fmt == "jsonl" else [SWEEP_HEADER]
+        for q_b in (9e6, 9e7):
+            cfg = retune_microwave_q(run.transducer, q_b)
+            for power in np.geomspace(1e-7, 1e-3, 40).tolist():
+                n_p = intracavity_photon_number(cfg.mode_p, DriveCondition(pump_power=power))
+                point = conversion_efficiency(cfg, n_p)
+                model = HeraldModel(r0=point.cooperativity * cfg.mode_b.kappa, dt=3e-7,
+                                    scheme=Scheme.BLUE)
+                values = [power, q_b, n_p, point.cooperativity, point.eta_i, point.eta,
+                          blue_breakdown(model).infidelity]
+                if fmt == "jsonl":
+                    lines.append(json.dumps(dict(zip(SWEEP_HEADER.split(","), values))))
+                else:
+                    lines.append(",".join(map(repr, values)))
+        assert table.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_svg_structure_one_path_per_q(self, tmp_path):
         svg_path = tmp_path / "plot.svg"
         text = DEVICE_SECTION + (
@@ -238,6 +270,25 @@ class TestHeraldCommand:
         record = parse_single_record(capsys.readouterr().out)
         assert float(record["infidelity"]) == 0.0
         assert float(record["mc_infidelity"]) == 0.0
+
+    def test_zero_mc_errors_give_finite_json_gap(self, tmp_path, capsys):
+        # mu = 1e-5: 1000 trials see no error, yet the closed form is non-zero,
+        # so the standard error is 0 and the Wilson half-width scales the gap
+        text = DEVICE_SECTION + (
+            "\n[drive]\npower_w = 2e-5\nscheme = blue\n"
+            "\n[herald]\ndt_s = 1e-3\nr0_mapping = direct\nr0_per_s = 0.01\n"
+        )
+        cfg = write_config(tmp_path, text)
+        assert run_cli(["herald", "--config", cfg, "--mc", "1000", "--format", "jsonl"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        record = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert record["mc_infidelity"] == 0.0 and record["mc_standard_error"] == 0.0
+        assert record["infidelity"] > 0.0
+        # z = 1 Wilson half-width at zero successes in n trials is 1 / (2 (n + 1))
+        assert record["mc_gap_sigma"] == pytest.approx(record["infidelity"] * 2.0 * 1001.0)
 
     def test_red_with_mc_unsupported(self, capsys):
         rc = run_cli(["herald", "--config", str(SHIPPED_FIXTURE), "--mc", "1000"])
@@ -353,9 +404,25 @@ class TestExitCodes:
         assert run_cli(["verify", "--config", str(SHIPPED_FIXTURE), *flags]) == 5
         assert "non-negative" in capsys.readouterr().err
 
-    def test_negative_config_seed_in_verify_exits_5(self, tmp_path):
+    @pytest.mark.parametrize("sub", ["efficiency", "verify"])
+    def test_negative_config_seed_exits_2(self, tmp_path, capsys, sub):
         text = SHIPPED_FIXTURE.read_text().replace("seed = 12345", "seed = -1")
-        assert run_cli(["verify", "--config", write_config(tmp_path, text)]) == 5
+        assert run_cli([sub, "--config", write_config(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed" in captured.err
+
+    @pytest.mark.parametrize("old, new", [("detuning_hz = 0", "detuning_hz = 1e200"),
+                                          ("g_eo_hz = 40", "g_eo_hz = 1e200")])
+    @pytest.mark.parametrize("sub", ["efficiency", "verify", "sweep"])
+    def test_overflowing_square_of_config_value_exits_3(self, tmp_path, capsys, sub, old, new):
+        text = SHIPPED_FIXTURE.read_text()
+        assert old in text
+        cfg = write_config(tmp_path, text.replace(old, new))
+        assert run_cli([sub, "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "^2 overflows" in captured.err
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -127,3 +127,9 @@ def test_unknown_output_format_rejected(tmp_path):
     text = MINIMAL + "\n[output]\nformat = parquet\n"
     with pytest.raises(ConfigError, match="format"):
         load_config(write_config(tmp_path, text))
+
+
+def test_negative_seed_rejected(tmp_path):
+    text = MINIMAL + "\n[output]\nseed = -1\n"
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(write_config(tmp_path, text))

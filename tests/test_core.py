@@ -114,6 +114,18 @@ class TestIntracavityPhotonNumber:
         off = intracavity_photon_number(mode_p, DriveCondition(1e-3, TWO_PI * 100e6))
         assert off < on
 
+    def test_buildup_underflow_is_a_domain_error(self):
+        # (kappa_p/2)^2 underflows to 0, which would divide by zero
+        mode_p = Mode("p", TWO_PI * 193.5e12, 1e-170, 1e-170)
+        with pytest.raises(DomainError, match="positive and finite"):
+            intracavity_photon_number(mode_p, DriveCondition(pump_power=1e-3))
+
+    @pytest.mark.parametrize("detuning", [1e200, -1e160])
+    def test_huge_detuning_is_a_domain_error(self, detuning):
+        mode_p = Mode("p", TWO_PI * 193.5e12, TWO_PI * 10e6, TWO_PI * 35e6)
+        with pytest.raises(DomainError, match="delta_p\\^2 overflows"):
+            intracavity_photon_number(mode_p, DriveCondition(1e-3, detuning))
+
 
 class TestCooperativity:
     def test_zero_pump(self, device):

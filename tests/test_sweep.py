@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xduce import (
     BracketingError,
@@ -10,9 +13,12 @@ from xduce import (
     HeraldModel,
     HeraldOptions,
     ModelRegimeError,
+    Mode,
     PowerAxis,
     Scheme,
+    SweepRow,
     SweepSpec,
+    TransducerConfig,
     UsageError,
     blue_breakdown,
     conversion_efficiency,
@@ -298,3 +304,89 @@ def test_herald_options_validation():
         HeraldOptions(dt=1e-6, r0_mapping="nonsense")
     with pytest.raises(DomainError):
         HeraldOptions(dt=-1.0, r0_mapping="c_kappa_b")
+
+
+def _log_float(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def sweep_specs(draw):
+    def mode(label, omega, kappa):
+        frac = draw(st.floats(0.0, 1.0))
+        return Mode(label, omega, kappa * (1.0 - frac), kappa * frac)
+
+    kappa_p = draw(_log_float(6.0, 9.0))
+    device = TransducerConfig(
+        mode_a=mode("a", 1.2e15, draw(_log_float(2.0, 10.0))),
+        mode_b=mode("b", 5.7e10, draw(_log_float(-1.0, 6.0))),
+        mode_p=Mode("p", 1.2e15, kappa_p / 2.0, kappa_p / 2.0),
+        # one draw in five so strong that (1+C)^2 overflows
+        g_eo=draw(_log_float(74.0, 90.0) if draw(st.integers(0, 4)) == 0
+                  else _log_float(-2.0, 4.0)),
+    )
+    if draw(st.booleans()):
+        low = draw(_log_float(-12.0, 2.0))
+        axis = PowerAxis(low, low * draw(_log_float(0.5, 8.0)),
+                         points=draw(st.integers(2, 40)), spacing="log")
+    else:
+        axis = PowerAxis(0.0, draw(_log_float(-9.0, 2.0)), points=draw(st.integers(2, 40)),
+                         spacing="linear")
+    if draw(st.booleans()):
+        options = HeraldOptions(dt=draw(_log_float(-16.0, -4.0)), r0_mapping="c_kappa_b")
+    else:
+        options = HeraldOptions(dt=draw(_log_float(-6.0, -1.0)), r0_mapping="direct",
+                                r0_value=draw(st.floats(0.0, 1e3)))
+    return SweepSpec(
+        config=device,
+        power_axis=axis,
+        q_axis=tuple(draw(st.lists(_log_float(4.0, 10.0), min_size=1, max_size=4))),
+        outputs=("efficiency", "cooperativity", "infidelity"),
+        herald_options=options,
+        pump_detuning=draw(st.sampled_from([0.0, 3e7, -2e9])),
+    )
+
+
+def scalar_rows(spec):
+    """The sweep one point at a time through the scalar API, stopping with
+    (error class, coordinates) at the first point that fails."""
+    options = spec.herald_options
+    rows = []
+    for q_b in sorted(spec.q_axis):
+        cfg = retune_microwave_q(spec.config, q_b)
+        for power in spec.power_axis.grid().tolist():
+            try:
+                drive = DriveCondition(pump_power=power, pump_detuning=spec.pump_detuning)
+                n_p = intracavity_photon_number(cfg.mode_p, drive)
+                point = conversion_efficiency(cfg, n_p)
+                r0 = point.cooperativity * cfg.mode_b.kappa
+                if options.r0_mapping == "direct":
+                    r0 = options.r0_value
+                model = HeraldModel(r0=r0, dt=options.dt, scheme=Scheme.BLUE)
+                if model.mu >= 10.0:
+                    raise ModelRegimeError("mu")
+            except DomainError as exc:
+                return rows, (type(exc), f"Q_b = {q_b:g}, power = {power:g} W")
+            rows.append((power, q_b, n_p, point.cooperativity, point.eta_i, point.eta,
+                         blue_breakdown(model).infidelity))
+    return rows, None
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(sweep_specs())
+def test_columns_equal_scalar_api_bit_for_bit(spec):
+    rows, failure = scalar_rows(spec)
+    if failure is not None:
+        error, where = failure
+        with pytest.raises(DomainError, match=re.escape(f"at {where}:")) as info:
+            run_sweep(spec)
+        assert type(info.value) is error
+        return
+    table = run_sweep(spec)
+    assert len(table) == len(rows)
+    assert list(table) == [SweepRow(*row) for row in rows]
+    # list equality compares floats with ==; 0.0 == -0.0 is the only
+    # non-identical pair it would accept, so compare reprs too
+    for column, expected in zip(table.columns(), zip(*rows)):
+        assert column == list(expected)
+        assert list(map(repr, column)) == list(map(repr, expected))
