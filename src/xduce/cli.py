@@ -192,11 +192,22 @@ def cmd_verify(run: RunConfig, args) -> int:
     return 0
 
 
+# Each subcommand takes --config and --dump-normalized plus the flags it reads.
+_FLAGS = {
+    "--format": dict(choices=("csv", "jsonl"), help="override the config output format"),
+    "--plot": dict(metavar="OUT.SVG", help="write an SVG plot"),
+    "--mc": dict(type=int, metavar="N", help="Monte Carlo sample count"),
+    "--seed": dict(type=int, help="override the config seed"),
+    "--probes": dict(type=int, default=32, help="random probe offsets"),
+}
+
 _COMMANDS = {
-    "efficiency": cmd_efficiency,
-    "sweep": cmd_sweep,
-    "herald": cmd_herald,
-    "verify": cmd_verify,
+    "efficiency": (cmd_efficiency, "conversion efficiency breakdown at one operating point",
+                   ("--format",)),
+    "sweep": (cmd_sweep, "power/Q sweep tables and optional SVG plot", ("--format", "--plot")),
+    "herald": (cmd_herald, "heralded-entanglement probability breakdown",
+               ("--format", "--mc", "--seed")),
+    "verify": (cmd_verify, "steady-state scattering oracle self-test", ("--seed", "--probes")),
 }
 
 
@@ -206,25 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cavity electro-optic transduction design calculator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("efficiency", "conversion efficiency breakdown at one operating point"),
-        ("sweep", "power/Q sweep tables and optional SVG plot"),
-        ("herald", "heralded-entanglement probability breakdown"),
-        ("verify", "steady-state scattering oracle self-test"),
-    ):
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to an INI run configuration")
-        p.add_argument("--mc", type=int, default=None, metavar="N",
-                       help="Monte Carlo sample count (herald only)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--format", choices=("csv", "jsonl"), default=None,
-                       help="override the config output format")
-        p.add_argument("--plot", default=None, metavar="OUT.SVG",
-                       help="write an SVG plot (sweep only)")
-        p.add_argument("--probes", type=int, default=32,
-                       help="random probe offsets for verify")
         p.add_argument("--dump-normalized", action="store_true",
                        help="echo the rad/s values the loader produced")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -241,7 +240,7 @@ def run_cli(argv=None) -> int:
     if args.dump_normalized:
         print(dump_normalized(run))
     try:
-        return _COMMANDS[args.command](run, args)
+        return _COMMANDS[args.command][0](run, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

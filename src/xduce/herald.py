@@ -26,8 +26,8 @@ import numpy as np
 from .core import Scheme
 from .errors import DomainError, ModelRegimeError, UsageError
 
-# The sequential-search inversion sampler is exact and reproducible but only
-# sensible for small means; larger means are outside the model regime anyway.
+# Upper end of the herald model's regime in mu; the sweeps and the sampler
+# reject larger means.
 MAX_POISSON_MEAN = 10.0
 
 # Trials per RNG block, each block drawn from its own (seed, block) Philox
@@ -143,47 +143,28 @@ def storage_loss_infidelity(kappa_b_i: float, hold_time: float) -> float:
     return -math.expm1(-kappa_b_i * hold_time)
 
 
-def _poisson_cdf_table(mu: float) -> np.ndarray:
-    """Cumulative Poisson probabilities F_k for k = 0, 1, ... until saturation."""
-    table = []
-    pmf = math.exp(-mu)
-    cdf = pmf
-    k = 0
-    table.append(cdf)
-    while cdf < 1.0 and k < 200:
-        k += 1
-        pmf *= mu / k
-        new = cdf + pmf
-        if new == cdf:
-            break
-        cdf = new
-        table.append(cdf)
-    return np.asarray(table)
-
-
-def _sample_poisson(rng: np.random.Generator, n: int, cdf: np.ndarray) -> np.ndarray:
-    """Exact inversion: smallest k with u < F_k, vectorized over n uniforms."""
-    u = rng.random(n)
-    return np.searchsorted(cdf, u, side="right")
-
-
-def _block_error_count(seed: int, block: int, n: int, cdf: np.ndarray) -> int:
+def _block_error_count(seed: int, block: int, n: int, f0: float, f1: float) -> int:
+    """Error events among n trials of one block, drawn from the (seed, block)
+    stream. Each cavity's uniform u stands for its photon count: u >= f0 = P0
+    means at least one photon, u >= f1 = P0 + P1 at least two."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
-    n_a = _sample_poisson(rng, n, cdf)
-    n_b = _sample_poisson(rng, n, cdf)
-    errors = ((n_a == 1) & (n_b == 1)) | (n_a >= 2) | (n_b >= 2)
+    u_a = rng.random(n)
+    u_b = rng.random(n)
+    errors = ((u_a >= f0) & (u_b >= f0)) | (u_a >= f1) | (u_b >= f1)
     return int(np.count_nonzero(errors))
 
 
 def mc_blue_infidelity(model: HeraldModel, samples: int, seed: int) -> McEstimate:
     """Monte Carlo oracle for the blue-scheme infidelity.
 
-    Each trial draws independent Poisson(mu) counts for the two cavities
-    and flags an error when both show exactly one photon or either shows
-    two or more; the estimate is the error fraction. Trials are generated
-    in fixed-size blocks, each from its own Philox counter-based stream
-    keyed by (seed, block index), and the integer error counts are summed,
-    so the result is bit-identical for a given seed.
+    Each trial draws one uniform per cavity, read as an independent
+    Poisson(mu) count by comparing it with P0 and P0 + P1 of
+    :func:`blue_probabilities`, and flags an error when both cavities show
+    exactly one photon or either shows two or more; the estimate is the
+    error fraction. Trials are generated in fixed-size blocks, each from
+    its own Philox counter-based stream keyed by (seed, block index), and
+    the integer error counts are summed, so the result is bit-identical
+    for a given seed.
     """
     if model.scheme is not Scheme.BLUE:
         raise UsageError("mc_blue_infidelity requires a blue-scheme model")
@@ -194,11 +175,11 @@ def mc_blue_infidelity(model: HeraldModel, samples: int, seed: int) -> McEstimat
     mu = model.mu
     if mu >= MAX_POISSON_MEAN:
         raise ModelRegimeError(
-            f"mu = {mu:.6g} is outside the sampler's regime (mu < {MAX_POISSON_MEAN:g})"
+            f"mu = {mu:.6g} is outside the herald model regime (mu < {MAX_POISSON_MEAN:g})"
         )
-    cdf = _poisson_cdf_table(mu)
+    p0, p1 = blue_probabilities(mu)[:2]
     total = sum(
-        _block_error_count(seed, i, min(_BLOCK_SIZE, samples - i * _BLOCK_SIZE), cdf)
+        _block_error_count(seed, i, min(_BLOCK_SIZE, samples - i * _BLOCK_SIZE), p0, p0 + p1)
         for i in range((samples + _BLOCK_SIZE - 1) // _BLOCK_SIZE)
     )
     mean = total / samples

@@ -16,8 +16,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import core, herald
-from .core import DriveCondition, Mode, Scheme, TransducerConfig
-from .errors import BracketingError, DomainError, ModelRegimeError, UsageError
+from .core import DriveCondition, Mode, TransducerConfig
+from .errors import BracketingError, DomainError, ModelRegimeError
 
 # Golden-section interval shrink factor per iteration.
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -64,7 +64,7 @@ class PowerAxis:
 
 @dataclass(frozen=True)
 class HeraldOptions:
-    """Herald settings for infidelity columns.
+    """Herald settings for the infidelity columns, which use the blue scheme.
 
     ``r0_mapping`` selects how the generation rate follows the operating
     point: ``direct`` uses the fixed ``r0_value`` (1/s) regardless of
@@ -77,7 +77,6 @@ class HeraldOptions:
     dt: float
     r0_mapping: str = "direct"
     r0_value: float | None = None
-    scheme: Scheme = Scheme.BLUE
 
     def __post_init__(self) -> None:
         if self.r0_mapping not in ("direct", "c_kappa_b"):
@@ -86,6 +85,9 @@ class HeraldOptions:
             )
         if self.r0_mapping == "direct" and self.r0_value is None:
             raise DomainError("direct r0 mapping needs r0_value")
+        r0 = self.r0_value
+        if r0 is not None and not (math.isfinite(r0) and r0 >= 0.0):
+            raise DomainError(f"r0 (r0_per_s) must be finite and non-negative, got {r0!r}")
         if not (math.isfinite(self.dt) and self.dt >= 0.0):
             raise DomainError(f"dt must be finite and non-negative, got {self.dt!r}")
 
@@ -223,8 +225,6 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     The first failing point aborts the sweep, with its coordinates."""
     powers = spec.power_axis.grid()
     options = spec.herald_options if "infidelity" in spec.outputs else None
-    if options is not None and options.scheme is not Scheme.BLUE:
-        raise UsageError("infidelity columns are defined for the blue scheme")
     q_axis = sorted(spec.q_axis)
     per_q = [_columns(retune_microwave_q(spec.config, q_b), powers, spec.pump_detuning, q_b,
                       options) for q_b in q_axis]
@@ -248,8 +248,6 @@ def infidelity_curve(
     and the analytic blue breakdown. Points with mu >= 10 are rejected as
     outside the model regime.
     """
-    if options.scheme is not Scheme.BLUE:
-        raise UsageError("infidelity_curve is defined for the blue scheme")
     powers = power_axis.grid()
     q_b = cfg.mode_b.omega / cfg.mode_b.kappa
     return list(zip(powers.tolist(), _columns(cfg, powers, pump_detuning, q_b, options)[4]))

@@ -399,6 +399,35 @@ class TestExitCodes:
         assert run_cli(["sweep", "--config", cfg]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("r0", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("sub", ["herald", "sweep"])
+    def test_bad_herald_rate_exits_2(self, tmp_path, capsys, sub, r0):
+        text = SHIPPED_FIXTURE.read_text().replace("r0_per_s = 100", f"r0_per_s = {r0}")
+        assert run_cli([sub, "--config", write_config(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "r0_per_s" in captured.err
+
+    @pytest.mark.parametrize(
+        "sub, flags",
+        [("efficiency", ["--mc", "5"]), ("efficiency", ["--seed", "1"]),
+         ("efficiency", ["--plot", "x.svg"]), ("efficiency", ["--probes", "3"]),
+         ("sweep", ["--mc", "5"]), ("sweep", ["--seed", "1"]), ("sweep", ["--probes", "3"]),
+         ("herald", ["--plot", "x.svg"]), ("herald", ["--probes", "3"]),
+         ("verify", ["--format", "csv"]), ("verify", ["--plot", "x.svg"]),
+         ("verify", ["--mc", "5"])],
+    )
+    def test_flag_the_subcommand_does_not_read_exits_2(self, tmp_path, capsys, sub, flags):
+        svg = tmp_path / "x.svg"
+        flags = [str(svg) if flag == "x.svg" else flag for flag in flags]
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli([sub, "--config", str(SHIPPED_FIXTURE), *flags])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+        assert not svg.exists()
+
     @pytest.mark.parametrize("flags", [["--probes", "-1"], ["--seed", "-1"]])
     def test_negative_verify_arguments_exit_5(self, capsys, flags):
         assert run_cli(["verify", "--config", str(SHIPPED_FIXTURE), *flags]) == 5

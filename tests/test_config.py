@@ -107,6 +107,15 @@ def test_negative_rate_rejected_as_config_error(tmp_path):
         load_config(write_config(tmp_path, text))
 
 
+@pytest.mark.parametrize("r0", ["-1", "nan", "inf"])
+def test_bad_herald_rate_rejected(tmp_path, r0):
+    text = SHIPPED_FIXTURE.read_text()
+    assert "r0_per_s = 100" in text
+    text = text.replace("r0_per_s = 100", f"r0_per_s = {r0}")
+    with pytest.raises(ConfigError, match="r0_per_s"):
+        load_config(write_config(tmp_path, text))
+
+
 def test_syntax_error_reports_line(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, "not an ini file at all\n"))

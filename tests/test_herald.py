@@ -7,6 +7,7 @@ from scipy.stats import poisson
 from xduce import (
     DomainError,
     HeraldModel,
+    McEstimate,
     ModelRegimeError,
     Scheme,
     UsageError,
@@ -33,6 +34,35 @@ EXACT_ERROR_PROB = {
     0.001: 1.9973353322671108e-06,
     0.01: 0.00019735322710959173,
     0.1: 0.01752309630642177,
+}
+
+
+# McEstimate (infidelity_mean, standard_error) per (mu, seed, samples), frozen
+# from an earlier version of the sampler: a given seed must keep giving the
+# same bits across versions. 2_500_000 samples end in a partial third block.
+FROZEN_MC = {
+    (0.0, 0, 100_000): (0.0, 0.0),
+    (0.0, 7, 100_000): (0.0, 0.0),
+    (0.0, 2147483647, 100_000): (0.0, 0.0),
+    (1e-12, 0, 100_000): (0.0, 0.0),
+    (1e-12, 7, 100_000): (0.0, 0.0),
+    (1e-12, 2147483647, 100_000): (0.0, 0.0),
+    (0.001, 3, 2_000_000): (1.5e-06, 8.660249707714121e-07),
+    (0.01, 0, 100_000): (0.00023, 4.795303947551135e-05),
+    (0.01, 7, 100_000): (0.00015, 3.8727122251724034e-05),
+    (0.01, 2147483647, 100_000): (0.00012, 3.4639110824038e-05),
+    (0.01, 5, 1): (0.0, 0.0),
+    (0.3, 0, 100_000): (0.12188, 0.0010345353346471963),
+    (0.3, 7, 100_000): (0.12132, 0.0010324849811267777),
+    (0.3, 2147483647, 100_000): (0.12144, 0.0010329249408061235),
+    (0.3, 42, 2_500_000): (0.121828, 0.00020686805573639686),
+    (2.0, 0, 100_000): (0.90702, 0.0009183439603744858),
+    (2.0, 7, 100_000): (0.90755, 0.0009159903740671373),
+    (2.0, 2147483647, 100_000): (0.90823, 0.0009129572859176158),
+    (5.0, 11, 100_000): (0.99942, 7.613602279433775e-05),
+    (9.99, 0, 100_000): (1.0, 0.0),
+    (9.99, 7, 100_000): (1.0, 0.0),
+    (9.99, 2147483647, 100_000): (1.0, 0.0),
 }
 
 
@@ -143,6 +173,13 @@ class TestMonteCarlo:
         est1 = mc_blue_infidelity(blue_model(0.05), samples=200_000, seed=31)
         est2 = mc_blue_infidelity(blue_model(0.05), samples=200_000, seed=31)
         assert est1 == est2
+
+    @pytest.mark.parametrize("mu, seed, samples", sorted(FROZEN_MC))
+    def test_frozen_estimates(self, mu, seed, samples):
+        mean, stderr = FROZEN_MC[mu, seed, samples]
+        est = mc_blue_infidelity(blue_model(mu), samples=samples, seed=seed)
+        assert est == McEstimate(samples=samples, infidelity_mean=mean,
+                                 standard_error=stderr, seed=seed)
 
     def test_against_truncated_sum(self):
         mu = 0.01

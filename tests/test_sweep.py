@@ -19,7 +19,6 @@ from xduce import (
     SweepRow,
     SweepSpec,
     TransducerConfig,
-    UsageError,
     blue_breakdown,
     conversion_efficiency,
     cooperativity,
@@ -290,12 +289,6 @@ class TestInfidelityCurve:
         with pytest.raises(ModelRegimeError):
             infidelity_curve(device, axis, options)
 
-    def test_red_scheme_rejected(self, device):
-        axis = PowerAxis(1e-6, 1e-4, points=3, spacing="log")
-        options = HeraldOptions(dt=1e-6, r0_mapping="c_kappa_b", scheme=Scheme.RED)
-        with pytest.raises(UsageError):
-            infidelity_curve(device, axis, options)
-
 
 def test_herald_options_validation():
     with pytest.raises(DomainError):
@@ -304,6 +297,9 @@ def test_herald_options_validation():
         HeraldOptions(dt=1e-6, r0_mapping="nonsense")
     with pytest.raises(DomainError):
         HeraldOptions(dt=-1.0, r0_mapping="c_kappa_b")
+    for r0 in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="r0"):
+            HeraldOptions(dt=1e-6, r0_mapping="direct", r0_value=r0)
 
 
 def _log_float(lo, hi):
