@@ -22,11 +22,10 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 
-import numpy as np
-
-from . import core, herald, scattering, svgplot, sweep
+from . import core, herald, scattering, sweep
 from .config import RunConfig, dump_normalized, load_config
 from .core import Scheme
 from .errors import (
@@ -93,17 +92,55 @@ def cmd_sweep(run: RunConfig, args) -> int:
         print(note, file=sys.stderr)
     table = sweep.run_sweep(spec)
     lines = _sweep_lines(table, args.format or run.out_format)
+    files = []  # (path, newline, chunks), written in this order
     if run.table_path:
-        with open(run.table_path, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(lines)
-    else:
-        sys.stdout.writelines(lines)
+        files.append((run.table_path, "", lines))
+        lines = ()
     plot_path = args.plot or run.plot_path
     if plot_path:
-        document = svgplot.render_sweep_svg(table, spec.outputs, note=note)
-        with open(plot_path, "w", encoding="utf-8") as handle:
-            handle.write(document)
+        from . import svgplot
+
+        files.append((plot_path, None, (svgplot.render_sweep_svg(table, spec.outputs, note=note),)))
+    _write_outputs(files, lines)
     return 0
+
+
+def _write_outputs(files, stdout_lines) -> None:
+    """Write each new or regular file to a temporary file beside it, then the
+    stdout lines and the outputs that are symlinks, devices or pipes (such as
+    /dev/stdout), and only then rename the temporary files into place, so a
+    failure on the way leaves no new or replaced file behind. The files get
+    the mode ``open`` gives."""
+    import tempfile
+
+    umask = os.umask(0)  # reading the umask means setting it; restored at once
+    os.umask(umask)
+    staged = []  # (temporary file, path)
+    in_place = []
+    try:
+        for path, newline, chunks in files:
+            if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+                in_place.append((path, newline, chunks))
+                continue
+            try:
+                fd, tmp = tempfile.mkstemp(prefix=".xduce-", suffix=".tmp",
+                                           dir=os.path.dirname(path) or ".")
+            except OSError as exc:  # name the output, not the temporary file
+                raise OSError(exc.errno, exc.strerror, path) from None
+            staged.append((tmp, path))
+            with open(fd, "w", encoding="utf-8", newline=newline) as handle:
+                handle.writelines(chunks)
+            os.chmod(tmp, 0o666 & ~umask)
+        sys.stdout.writelines(stdout_lines)
+        for path, newline, chunks in in_place:
+            with open(path, "w", encoding="utf-8", newline=newline) as handle:
+                handle.writelines(chunks)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def _gap_scale(estimate: herald.McEstimate) -> float:
@@ -164,6 +201,8 @@ def cmd_verify(run: RunConfig, args) -> int:
     print(f"eta_closed_form = {eta!r}")
     print(f"conversion_numeric = {conversion!r}")
     print(f"max_relative_deviation = {deviation!r}")
+
+    import numpy as np
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     span = 5.0 * max(red_sys.kappa_a, red_sys.kappa_b)

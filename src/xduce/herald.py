@@ -21,13 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import Scheme
 from .errors import DomainError, ModelRegimeError, UsageError
 
-# Upper end of the herald model's regime in mu; the sweeps and the sampler
-# reject larger means.
+# Upper end of the blue herald model's regime in mu; the breakdown, the
+# sampler and the sweeps reject larger means.
 MAX_POISSON_MEAN = 10.0
 
 # Trials per RNG block, each block drawn from its own (seed, block) Philox
@@ -49,6 +47,8 @@ class HeraldModel:
             raise DomainError(f"r0 must be finite and non-negative, got {self.r0!r}")
         if not (math.isfinite(self.dt) and self.dt >= 0.0):
             raise DomainError(f"dt must be finite and non-negative, got {self.dt!r}")
+        if not math.isfinite(self.r0 * self.dt):
+            raise DomainError(f"mu = r0 * dt overflows for r0 = {self.r0!r}, dt = {self.dt!r}")
 
     @property
     def mu(self) -> float:
@@ -93,7 +93,9 @@ def blue_breakdown(model: HeraldModel) -> HeraldBreakdown:
         P11 = P1^2              one photon in each cavity
         Pmn = 2 (1 - P0 - P1)   multi-photon events, union bound
 
-    and the heralded-state infidelity is Pmn + P11.
+    and the heralded-state infidelity is Pmn + P11. mu >= 10 is outside the
+    model's regime and raises :class:`ModelRegimeError`, as in the sampler
+    and the sweeps.
     """
     if model.scheme is not Scheme.BLUE:
         raise UsageError("blue_breakdown requires a blue-scheme model")
@@ -101,7 +103,15 @@ def blue_breakdown(model: HeraldModel) -> HeraldBreakdown:
 
 
 def blue_probabilities(mu: float) -> tuple[float, float, float, float, float]:
-    """P0, P1, P11, Pmn and the infidelity Pmn + P11 of :func:`blue_breakdown`."""
+    """P0, P1, P11, Pmn and the infidelity Pmn + P11 of :func:`blue_breakdown`.
+
+    This is the one regime check of the blue scheme, shared by the breakdown
+    and the sampler: mu >= 10 raises :class:`ModelRegimeError`.
+    """
+    if mu >= MAX_POISSON_MEAN:
+        raise ModelRegimeError(
+            f"mu = {mu:.6g} is outside the herald model regime (mu < {MAX_POISSON_MEAN:g})"
+        )
     p0 = math.exp(-mu)
     p1 = mu * p0
     p11 = p1 * p1
@@ -147,6 +157,8 @@ def _block_error_count(seed: int, block: int, n: int, f0: float, f1: float) -> i
     """Error events among n trials of one block, drawn from the (seed, block)
     stream. Each cavity's uniform u stands for its photon count: u >= f0 = P0
     means at least one photon, u >= f1 = P0 + P1 at least two."""
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
     u_a = rng.random(n)
     u_b = rng.random(n)
@@ -172,12 +184,7 @@ def mc_blue_infidelity(model: HeraldModel, samples: int, seed: int) -> McEstimat
         raise UsageError(f"samples must be at least 1, got {samples}")
     if seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {seed}")
-    mu = model.mu
-    if mu >= MAX_POISSON_MEAN:
-        raise ModelRegimeError(
-            f"mu = {mu:.6g} is outside the herald model regime (mu < {MAX_POISSON_MEAN:g})"
-        )
-    p0, p1 = blue_probabilities(mu)[:2]
+    p0, p1 = blue_probabilities(model.mu)[:2]
     total = sum(
         _block_error_count(seed, i, min(_BLOCK_SIZE, samples - i * _BLOCK_SIZE), p0, p0 + p1)
         for i in range((samples + _BLOCK_SIZE - 1) // _BLOCK_SIZE)

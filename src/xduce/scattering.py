@@ -156,8 +156,9 @@ def scattering_at(sys: LinearizedSystem, omega: float) -> ScatteringPoint:
         )
     m11, m12, m21, m22 = _system_matrix(sys, omega)
     det = m11 * m22 - m12 * m21
-    if det == 0:
-        raise ArithmeticError("singular 2x2 steady-state system")
+    if det == 0 or not cmath.isfinite(det):
+        raise DomainError(f"2x2 steady-state determinant is {det!r}: the loss rates and "
+                          f"coupling are beyond double range")
     sqrt_ka = math.sqrt(sys.kappa_a_ex)
     sqrt_kb = math.sqrt(sys.kappa_b_ex)
     # drive port a with input sqrt(ka_ex): out_b = sqrt(kb_ex) * x_b

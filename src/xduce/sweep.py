@@ -12,12 +12,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import core, herald
 from .core import DriveCondition, Mode, TransducerConfig
 from .errors import BracketingError, DomainError, ModelRegimeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Golden-section interval shrink factor per iteration.
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -53,6 +55,8 @@ class PowerAxis:
             raise DomainError("linear power axis needs an explicit point count")
 
     def grid(self) -> np.ndarray:
+        import numpy as np
+
         if self.spacing == "linear":
             return np.linspace(self.min_w, self.max_w, self.points)
         points = self.points
@@ -192,6 +196,8 @@ def _columns(cfg: TransducerConfig, powers: np.ndarray, pump_detuning: float, q_
     one Q. The first power where the chain fails (a non-finite (1+C)^2 or
     r0, or mu >= 10) raises, with its coordinates. Infidelity goes through
     ``math.exp`` like the scalar breakdown, once if r0 is fixed."""
+    import numpy as np
+
     with np.errstate(all="ignore"):
         n_p = core.photon_number(cfg.mode_p, powers, pump_detuning)
         c, square, eta_i, eta = core.efficiency_chain(n_p, *core.chain_scalars(cfg))

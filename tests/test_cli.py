@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xduce import (
     DriveCondition,
@@ -369,6 +375,94 @@ class TestExitCodes:
         cfg = write_config(tmp_path, GOLDEN_TEMPLATE.format(table=table))
         assert run_cli(["sweep", "--config", cfg]) == 4
 
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_unwritable_plot_leaves_no_output(self, tmp_path, capsys, to_file):
+        # neither the table (file or stdout) nor a temporary file is left behind
+        text = GOLDEN_TEMPLATE.format(table=tmp_path / "out.csv")
+        if not to_file:
+            text = text.replace(f"table = {tmp_path / 'out.csv'}\n", "")
+        assert ("table =" in text) == to_file
+        cfg = write_config(tmp_path, text)
+        plot = tmp_path / "no" / "such" / "dir" / "plot.svg"
+        assert run_cli(["sweep", "--config", cfg, "--plot", str(plot)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(plot) in captured.err
+        assert sorted(os.listdir(tmp_path)) == ["run.ini"]
+
+    def test_outputs_replace_files_with_the_mode_open_gives(self, tmp_path):
+        table, plot = tmp_path / "out.csv", tmp_path / "plot.svg"
+        table.write_text("stale")
+        cfg = write_config(tmp_path, GOLDEN_TEMPLATE.format(table=table))
+        assert run_cli(["sweep", "--config", cfg, "--plot", str(plot)]) == 0
+        assert table.read_bytes() == GOLDEN_CSV.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "plot.svg", "run.ini"]
+        fresh = tmp_path / "fresh"
+        with open(fresh, "w"):
+            pass
+        assert table.stat().st_mode == plot.stat().st_mode == fresh.stat().st_mode
+
+    def test_outputs_write_through_symlinks(self, tmp_path):
+        # a symlinked output is written in place, through the link
+        table = tmp_path / "real.csv"
+        table.write_text("stale")
+        link = tmp_path / "link.csv"
+        link.symlink_to(table)
+        cfg = write_config(tmp_path, GOLDEN_TEMPLATE.format(table=link))
+        assert run_cli(["sweep", "--config", cfg]) == 0
+        assert link.is_symlink()
+        assert table.read_bytes() == GOLDEN_CSV.read_bytes()
+
+    def test_plot_to_a_pipe_is_written_in_place(self, tmp_path, capsys):
+        # a pipe (or /dev/stdout) has nothing to rename: it is written directly
+        fifo = tmp_path / "plot.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            argv = ["sweep", "--config", str(SHIPPED_FIXTURE), "--plot", str(fifo)]
+            assert run_cli(argv) == 0
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert data.startswith(b"<svg") and data.rstrip().endswith(b"</svg>")
+        assert fifo.is_fifo()
+        assert sorted(os.listdir(tmp_path)) == ["plot.fifo"]
+        assert capsys.readouterr().out.startswith(SWEEP_HEADER)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize(
+        "scheme, r0, dt",
+        [("blue", "1e4", "1e-3"), ("blue", "100", "1"), ("blue", "100", "1e308"),
+         ("red", "100", "1e308")],
+    )
+    def test_herald_outside_regime_exits_3(self, tmp_path, capsys, fmt, scheme, r0, dt):
+        # blue: mu = 10 and mu = 100 are outside the model regime; both
+        # schemes: dt = 1e308 overflows mu = r0 * dt
+        text = (SHIPPED_FIXTURE.read_text().replace("scheme = red", f"scheme = {scheme}")
+                .replace("r0_per_s = 100", f"r0_per_s = {r0}").replace("dt_s = 1e-3", f"dt_s = {dt}"))
+        cfg = write_config(tmp_path, text)
+        assert run_cli(["herald", "--config", cfg, "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "domain error: mu" in captured.err
+
+    def test_verify_determinant_overflow_exits_3(self, tmp_path, capsys):
+        text = SHIPPED_FIXTURE.read_text()
+        old = "b_kappa_i_hz = 0.07957747154594767"
+        assert old in text
+        cfg = write_config(tmp_path, text.replace(old, "b_kappa_i_hz = 1e300"))
+        assert run_cli(["verify", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "determinant" in captured.err
+
+    def test_herald_just_inside_regime_exits_0(self, tmp_path, capsys):
+        text = (SHIPPED_FIXTURE.read_text().replace("scheme = red", "scheme = blue")
+                .replace("r0_per_s = 100", "r0_per_s = 9990"))
+        assert run_cli(["herald", "--config", write_config(tmp_path, text)]) == 0
+        record = parse_single_record(capsys.readouterr().out)
+        assert 0.0 < float(record["infidelity"]) < 2.0
+
     def test_unsupported_exits_5(self):
         assert run_cli(["herald", "--config", str(SHIPPED_FIXTURE), "--mc", "10"]) == 5
 
@@ -454,17 +548,61 @@ class TestExitCodes:
         assert "^2 overflows" in captured.err
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is a test-only dependency: importing the package and its CLI must
-    # not pull it in
+def fresh_python(code, *args):
+    """Run ``code`` in a fresh interpreter with the package on its path."""
     src = str(HERE.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import xduce, xduce.cli, xduce.config, sys; print('scipy' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert proc.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=False)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency, and numpy and the SVG writer load only
+    # in the subcommands that use them: importing the package, its CLI and
+    # its config loader must pull in none of them
+    code = ("import xduce, xduce.cli, xduce.config, sys; "
+            "print([m for m in ('numpy', 'scipy', 'xduce.svgplot') if m in sys.modules])")
+    proc = fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("sub", ["efficiency", "herald"])
+def test_numpy_free_subcommands_leave_numpy_unloaded(sub):
+    code = ("import sys; from xduce.cli import run_cli; rc = run_cli(sys.argv[1:]); "
+            "print(rc, 'numpy' in sys.modules, file=sys.stderr)")
+    proc = fresh_python(code, sub, "--config", str(SHIPPED_FIXTURE))
+    assert proc.stderr.strip() == "0 False"
+    assert proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--plot", "{tmp}/plot.svg"], ["sweep", "--format", "jsonl"], ["verify"],
+     ["herald", "--mc", "20000", "--seed", "5", "--format", "jsonl"]],
+)
+def test_fresh_process_matches_in_process(tmp_path, capsys, argv):
+    # numpy and svgplot load inside the subcommands that need them; a cold
+    # process must give the same bytes as one that already has them loaded
+    text = SHIPPED_FIXTURE.read_text().replace("scheme = red", "scheme = blue")
+    cfg = write_config(tmp_path, text)
+    outputs = {}
+    for where in ("fresh", "in_process"):
+        out_dir = tmp_path / where
+        out_dir.mkdir()
+        args = [argv[0], "--config", cfg] + [a.format(tmp=out_dir) for a in argv[1:]]
+        if where == "fresh":
+            proc = fresh_python("from xduce.cli import main; main()", *args)
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+        else:
+            code = run_cli(args)
+            out, err = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        outputs[where] = (code, out, err, files)
+    assert outputs["fresh"] == outputs["in_process"]
+    assert outputs["fresh"][0] == 0
+    assert ("plot.svg" in outputs["fresh"][3]) == ("--plot" in argv)
 
 
 def test_dump_normalized_shows_two_pi_conversion(tmp_path, capsys):
@@ -474,3 +612,73 @@ def test_dump_normalized_shows_two_pi_conversion(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"device.a_omega_rad_s = {2.0 * math.pi * 193.5e12!r}" in out
     assert f"device.b_kappa_ex_rad_s = {2.0 * math.pi * 1000.0!r}" in out
+
+
+# Every numeric field of the shipped config, and values a hostile config may
+# hold in them: the specials, and log-uniform magnitudes over the double range.
+NUMERIC_FIELDS = (
+    "a_frequency_hz", "a_kappa_i_hz", "a_kappa_ex_hz", "b_frequency_hz", "b_kappa_i_hz",
+    "b_kappa_ex_hz", "p_frequency_hz", "p_kappa_i_hz", "p_kappa_ex_hz", "g_eo_hz",
+    "power_w", "detuning_hz", "dt_s", "r0_per_s", "power_min_w", "power_max_w",
+    "power_points", "q_values", "seed",
+)
+SPECIAL_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-308", "5e-324")
+HOSTILE_VALUE = st.one_of(
+    st.sampled_from(SPECIAL_VALUES),
+    st.floats(-320.0, 308.0).map(lambda exponent: repr(10.0 ** exponent)),
+)
+
+
+def _reject_constant(constant):
+    raise ValueError(f"not JSON: {constant}")
+
+
+def _assert_finite_numbers(fmt, out):
+    """Every number ``out`` prints is finite, and JSONL is strict JSON."""
+    lines = out.splitlines()
+    if fmt == "jsonl":
+        values = [v for line in lines
+                  for v in json.loads(line, parse_constant=_reject_constant).values()]
+        numbers = [v for v in values if isinstance(v, (int, float))]
+    else:
+        cells = [cell for line in lines[1:] for cell in line.split(",")]  # after the header
+        numbers = [float(cell) for cell in cells if cell not in ("", "red", "blue")]
+    assert numbers, out
+    assert all(math.isfinite(v) for v in numbers), out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    changes=st.lists(st.tuples(st.sampled_from(NUMERIC_FIELDS), HOSTILE_VALUE),
+                     min_size=1, max_size=3),
+    scheme=st.sampled_from(("red", "blue")),
+    mapping=st.sampled_from(("direct", "c_kappa_b")),
+)
+@example(changes=[("dt_s", "1e308")], scheme="red", mapping="direct")
+@example(changes=[("dt_s", "1e308")], scheme="blue", mapping="direct")
+@example(changes=[("b_kappa_i_hz", "1e+300")], scheme="red", mapping="direct")
+def test_hostile_config_keeps_the_exit_code_contract(changes, scheme, mapping):
+    text = SHIPPED_FIXTURE.read_text().replace("scheme = red", f"scheme = {scheme}")
+    text = text.replace("r0_mapping = direct", f"r0_mapping = {mapping}")
+    for field, value in changes:
+        text = re.sub(rf"^{field} = .*$", f"{field} = {value}", text, flags=re.M)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.ini")
+        with open(cfg, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        runs = [
+            ("efficiency", "csv", []), ("efficiency", "jsonl", []),
+            ("herald", "csv", []), ("herald", "jsonl", []),
+            ("herald", "jsonl", ["--mc", "1000", "--seed", "3"]),
+            ("sweep", "csv", ["--plot", os.path.join(tmp, "plot.svg")]),
+            ("sweep", "jsonl", []),
+            ("verify", None, []),
+        ]
+        for sub, fmt, extra in runs:
+            argv = [sub, "--config", cfg, *(["--format", fmt] if fmt else []), *extra]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_cli(argv)
+            assert code in (0, 2, 3, 4, 5, 6), (argv, text, err.getvalue())
+            if code == 0 and fmt is not None:
+                _assert_finite_numbers(fmt, out.getvalue())

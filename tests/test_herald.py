@@ -126,6 +126,19 @@ class TestBlueBreakdown:
         with pytest.raises(UsageError):
             blue_breakdown(HeraldModel(r0=1.0, dt=1.0, scheme=Scheme.RED))
 
+    def test_mean_just_inside_regime_accepted(self):
+        bd = blue_breakdown(blue_model(9.99))
+        assert bd.infidelity == pytest.approx(2.0 * (1.0 - 10.99 * math.exp(-9.99))
+                                              + (9.99 * math.exp(-9.99)) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [10.0, 100.0])
+    def test_mean_outside_regime_rejected(self, mu):
+        # the same regime the sampler and the sweeps enforce
+        with pytest.raises(ModelRegimeError, match="outside the herald model regime"):
+            blue_breakdown(blue_model(mu))
+        with pytest.raises(ModelRegimeError, match="outside the herald model regime"):
+            mc_blue_infidelity(blue_model(mu), samples=10, seed=0)
+
 
 class TestRedBreakdown:
     def test_mu_tenth_literal_values(self):
@@ -157,6 +170,12 @@ class TestModelValidation:
     def test_negative_window_rejected(self):
         with pytest.raises(DomainError):
             HeraldModel(r0=1.0, dt=-1.0, scheme=Scheme.BLUE)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_overflowing_mean_rejected(self, scheme):
+        # r0 and dt are finite, but their product is not
+        with pytest.raises(DomainError, match="overflows"):
+            HeraldModel(r0=100.0, dt=1e308, scheme=scheme)
 
     def test_mu_product(self):
         assert HeraldModel(r0=250.0, dt=4e-4, scheme=Scheme.BLUE).mu == pytest.approx(0.1)

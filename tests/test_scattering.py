@@ -116,6 +116,16 @@ class TestRedScattering:
             point = scattering_at(sys_, float(omega))
             assert point.conversion == pytest.approx(numpy_conversion(sys_, float(omega)), rel=1e-12)
 
+    def test_determinant_beyond_double_range_rejected(self):
+        # kappa_a * kappa_b overflows, or underflows to 0 with no coupling
+        huge = make_device(kappa_b_i=1e301)
+        with pytest.raises(DomainError, match="determinant"):
+            scattering_at(build_linearized(huge, 1.0), 0.0)
+        tiny = make_device(kappa_a_i=1e-200, kappa_a_ex=1e-200, kappa_b_i=1e-200,
+                           kappa_b_ex=1e-200)
+        with pytest.raises(DomainError, match="determinant"):
+            scattering_at(build_linearized(tiny, 0.0), 0.0)
+
     def test_conversion_bounded_by_one(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
