@@ -20,6 +20,7 @@ from xduce import (
     build_linearized,
     conversion_efficiency,
     conversion_spectrum,
+    cooperativity,
     parametric_threshold,
     scattering_at,
 )
@@ -54,7 +55,7 @@ print()
 
 blue = build_linearized(device, n_p, Scheme.BLUE)
 print("blue scheme at the same pump level:")
-print("  cooperativity        :", blue.cooperativity)
+print("  cooperativity        :", cooperativity(device, n_p))
 print("  parametric threshold :", parametric_threshold(blue))
 print("  cross gain |S_ba|^2  :", scattering_at(blue, 0.0).conversion,
       " (pair production amplifies, so this exceeds 1)")
@@ -64,4 +65,4 @@ strong = build_linearized(device, 2.0 * n_p, Scheme.BLUE)
 try:
     scattering_at(strong, 0.0)
 except InstabilityError as exc:
-    print("at C =", strong.cooperativity, "->", exc)
+    print("at C =", cooperativity(device, 2.0 * n_p), "->", exc)

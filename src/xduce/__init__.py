@@ -53,7 +53,6 @@ from .scattering import (
 from .sweep import (
     HeraldOptions,
     PowerAxis,
-    SweepRow,
     SweepSpec,
     SweepTable,
     infidelity_curve,
@@ -94,7 +93,6 @@ __all__ = [
     "PowerAxis",
     "HeraldOptions",
     "SweepSpec",
-    "SweepRow",
     "SweepTable",
     "run_sweep",
     "maximize_efficiency",

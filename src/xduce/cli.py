@@ -191,7 +191,8 @@ def cmd_verify(run: RunConfig, args) -> int:
         raise UsageError(f"--probes must be non-negative, got {args.probes}")
     cfg = run.transducer
     n_p = core.intracavity_photon_number(cfg.mode_p, run.drive)
-    eta = core.conversion_efficiency(cfg, n_p).eta
+    breakdown = core.conversion_efficiency(cfg, n_p)
+    eta = breakdown.eta
     red_sys = scattering.build_linearized(cfg, n_p, Scheme.RED)
     conversion = scattering.scattering_at(red_sys, 0.0).conversion
     if eta > 0.0:
@@ -219,9 +220,9 @@ def cmd_verify(run: RunConfig, args) -> int:
     blue_sys = scattering.build_linearized(cfg, n_p, Scheme.BLUE)
     threshold = scattering.parametric_threshold(blue_sys)
     print(f"blue_parametric_threshold_C = {threshold!r}")
-    if run.drive.scheme is Scheme.BLUE and blue_sys.cooperativity >= threshold:
+    if run.drive.scheme is Scheme.BLUE and scattering.blue_unstable(blue_sys):
         print(
-            f"blue drive is unstable: C = {blue_sys.cooperativity!r} is at or "
+            f"blue drive is unstable: C = {breakdown.cooperativity!r} is at or "
             f"beyond the threshold"
         )
     if deviation > VERIFY_TOLERANCE:

@@ -68,11 +68,6 @@ class LinearizedSystem:
     def kappa_b(self) -> float:
         return self.kappa_b_i + self.kappa_b_ex
 
-    @property
-    def cooperativity(self) -> float:
-        """C = 4 G^2 / (kappa_a kappa_b) of this linearization."""
-        return 4.0 * self.g_eff**2 / (self.kappa_a * self.kappa_b)
-
 
 @dataclass(frozen=True)
 class ScatteringPoint:
@@ -129,8 +124,9 @@ def _check_residual(m11, m12, m21, m22, x1, x2, r1, r2) -> None:
         )
 
 
-def _blue_unstable(sys: LinearizedSystem) -> bool:
-    """True when the blue-scheme drift matrix has a non-decaying eigenvalue."""
+def blue_unstable(sys: LinearizedSystem) -> bool:
+    """True when the blue-scheme drift matrix has a non-decaying eigenvalue:
+    the one stability verdict, which :func:`scattering_at` acts on."""
     m11, m12, m21, m22 = _system_matrix(sys, 0.0)
     # dx/dt = -K x with M(omega) = K - i*omega*I; stability needs Re eig(K) > 0.
     # Eigenvalues are half_trace +- root with Re(root) >= 0, so half_trace + root
@@ -147,10 +143,10 @@ def scattering_at(sys: LinearizedSystem, omega: float) -> ScatteringPoint:
     Raises :class:`InstabilityError` for a blue-scheme system at or beyond
     the parametric threshold, where no steady state exists.
     """
-    if sys.scheme is Scheme.BLUE and _blue_unstable(sys):
+    if sys.scheme is Scheme.BLUE and blue_unstable(sys):
         threshold = parametric_threshold(sys)
         raise InstabilityError(
-            f"blue-detuned steady state is unstable: C = {sys.cooperativity:.6g} "
+            f"blue-detuned steady state is unstable: g_eff = {sys.g_eff:.6g} rad/s "
             f"is at or beyond the parametric threshold C = {threshold:.6g}",
             threshold=threshold,
         )

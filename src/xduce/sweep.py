@@ -26,7 +26,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_MAX_ITER = 80
 _GOLDEN_RTOL = 1e-9
 
-# Log-spaced grids default to this density when no point count is given.
+# Log-spaced grids default to this density when no point count is given,
+# up to the cap, which also bounds an explicit count on either spacing.
 LOG_POINTS_PER_DECADE = 200
 LOG_POINTS_CAP = 2000
 
@@ -49,8 +50,9 @@ class PowerAxis:
             raise DomainError("power axis needs min < max")
         if self.min_w < 0.0 or (self.spacing == "log" and self.min_w <= 0.0):
             raise DomainError("power axis bounds must be positive (log) or non-negative")
-        if self.points is not None and self.points < 2:
-            raise DomainError("power axis needs at least 2 points")
+        if self.points is not None and not 2 <= self.points <= LOG_POINTS_CAP:
+            raise DomainError(
+                f"power axis needs 2 to {LOG_POINTS_CAP} points, got {self.points}")
         if self.points is None and self.spacing == "linear":
             raise DomainError("linear power axis needs an explicit point count")
 
@@ -136,23 +138,10 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One operating point: (power, Q_b) and everything computed there."""
-
-    pump_power_w: float
-    q_b: float
-    n_p: float
-    cooperativity: float
-    eta_i: float
-    eta: float
-    infidelity: float | None = None
-
-
-@dataclass(frozen=True)
 class SweepTable:
-    """A sweep's results, one list of floats per :class:`SweepRow` field,
-    sorted by Q_b, then power; ``infidelity`` is None unless requested.
-    ``len``, indexing and iteration treat it as a sequence of rows."""
+    """A sweep's results, one list of floats per column, sorted by Q_b,
+    then power; ``infidelity`` is None unless requested. ``len`` counts
+    the rows."""
 
     pump_power_w: list[float]
     q_b: list[float]
@@ -167,12 +156,6 @@ class SweepTable:
 
     def __len__(self) -> int:
         return len(self.pump_power_w)
-
-    def __getitem__(self, index: int) -> SweepRow:
-        return SweepRow(*(col[index] for col in self.columns() if col is not None))
-
-    def __iter__(self):
-        return map(SweepRow, *(col for col in self.columns() if col is not None))
 
 
 def retune_microwave_q(cfg: TransducerConfig, q_b: float) -> TransducerConfig:

@@ -18,13 +18,16 @@ from hypothesis import strategies as st
 from xduce import (
     DriveCondition,
     HeraldModel,
+    InstabilityError,
     Scheme,
     blue_breakdown,
+    build_linearized,
     conversion_efficiency,
     critical_pump_power,
     intracavity_photon_number,
     mc_blue_infidelity,
     retune_microwave_q,
+    scattering_at,
 )
 from xduce.cli import run_cli
 from xduce.config import load_config
@@ -328,6 +331,46 @@ class TestVerifyCommand:
         assert "unstable" in out
         assert "blue_parametric_threshold_C = 1.0" in out
 
+    @pytest.mark.parametrize(
+        "device, power, unstable",
+        [
+            # within ULPs of C = 1: 4G^2/(kappa_a kappa_b) reads 1.0 on the first
+            # design (stable) and 1 - 2^-53 on the second (unstable), so a
+            # C >= threshold comparison gets both wrong
+            (dict(a_kappa_i_hz=50791236.426916, a_kappa_ex_hz=1182539.606077645,
+                  b_kappa_i_hz=0.03817280945439754, b_kappa_ex_hz=8937.807806513782,
+                  g_eo_hz=79.42052423288257), 0.00022248450657787555, False),
+            (dict(a_kappa_i_hz=32872724.72470641, a_kappa_ex_hz=82081205.84802534,
+                  b_kappa_i_hz=0.0579223617818918, b_kappa_ex_hz=108.335833192638,
+                  g_eo_hz=21.103857223363086), 8.45186484881175e-05, True),
+            ({}, 0.5, False),
+            ({}, 4.0, True),
+        ],
+    )
+    def test_blue_instability_line_follows_the_solver(self, tmp_path, capsys, device,
+                                                      power, unstable):
+        text = DEVICE_SECTION
+        for key, value in device.items():
+            text = re.sub(f"^{key} = .*$", f"{key} = {value!r}", text, flags=re.M)
+        if not device:  # shipped device, power in units of P*
+            power *= critical_pump_power(load_config(str(SHIPPED_FIXTURE)).transducer)
+        path = write_config(tmp_path, text + f"\n[drive]\npower_w = {power!r}\nscheme = blue\n")
+        run = load_config(path)
+        n_p = intracavity_photon_number(run.transducer.mode_p, run.drive)
+        blue = build_linearized(run.transducer, n_p, Scheme.BLUE)
+        try:
+            scattering_at(blue, 0.0)
+            raises = False
+        except InstabilityError:
+            raises = True
+        assert raises == unstable
+        assert run_cli(["verify", "--config", path]) == 0
+        out = capsys.readouterr().out
+        c = conversion_efficiency(run.transducer, n_p).cooperativity
+        line = f"blue drive is unstable: C = {c!r} is at or beyond the threshold\n"
+        assert (line in out) == raises
+        assert out.count("unstable") == raises
+
     def test_deviation_above_tolerance_exits_6(self, tmp_path, capsys, monkeypatch):
         import xduce.scattering as scattering_mod
         from xduce.scattering import ScatteringPoint
@@ -492,6 +535,17 @@ class TestExitCodes:
         cfg = write_config(tmp_path, text.replace(old, new))
         assert run_cli(["sweep", "--config", cfg]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_too_many_power_points_exits_2(self, tmp_path, capsys):
+        text = GOLDEN_TEMPLATE.format(table=tmp_path / "out.csv")
+        text = text.replace("power_points = 6", "power_points = 2001")
+        plot = tmp_path / "plot.svg"
+        assert run_cli(["sweep", "--config", write_config(tmp_path, text), "--plot",
+                        str(plot)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2 to 2000 points, got 2001" in captured.err
+        assert sorted(os.listdir(tmp_path)) == ["run.ini"]
 
     @pytest.mark.parametrize("r0", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("sub", ["herald", "sweep"])

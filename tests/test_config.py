@@ -132,6 +132,18 @@ def test_sweep_section_parses(tmp_path):
     assert len(run.sweep.power_axis.grid()) == 11
 
 
+@pytest.mark.parametrize("spacing", ["linear", "log"])
+def test_power_points_capped_at_load(tmp_path, spacing):
+    text = MINIMAL + (
+        "\n[sweep]\npower_min_w = 1e-7\npower_max_w = 1e-3\npower_points = 2000\n"
+        f"power_spacing = {spacing}\nq_values = 9e6\n"
+    )
+    assert len(load_config(write_config(tmp_path, text)).sweep.power_axis.grid()) == 2000
+    text = text.replace("power_points = 2000", "power_points = 2001")
+    with pytest.raises(ConfigError, match="2001"):
+        load_config(write_config(tmp_path, text))
+
+
 def test_unknown_output_format_rejected(tmp_path):
     text = MINIMAL + "\n[output]\nformat = parquet\n"
     with pytest.raises(ConfigError, match="format"):

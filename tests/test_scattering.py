@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +19,17 @@ from xduce import (
     build_linearized,
     conversion_efficiency,
     conversion_spectrum,
+    cooperativity,
+    critical_photon_number,
     intracavity_photon_number,
     parametric_threshold,
     scattering_at,
 )
+from xduce.config import load_config
+from xduce.scattering import blue_unstable
 from conftest import TWO_PI, make_device
+
+SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "device.ini"
 
 
 def numpy_conversion(sys_, omega):
@@ -66,8 +73,6 @@ class TestBuildLinearized:
         assert sys_.g_eff == 20.0
 
     def test_coupling_cooperativity_identity(self, device):
-        from xduce import cooperativity
-
         rng = np.random.default_rng(3)
         for n_p in rng.uniform(0.0, 1e9, 50):
             sys_ = build_linearized(device, float(n_p))
@@ -263,8 +268,34 @@ class TestBlueScheme:
 
     def test_weak_coupling_still_has_unit_threshold(self, device):
         sys_ = build_linearized(device, 1e-30, Scheme.BLUE)
-        assert sys_.cooperativity < 1e-30
+        assert cooperativity(device, 1e-30) < 1e-30
         assert parametric_threshold(sys_) == 1.0
+
+    @pytest.mark.parametrize("design", ["shipped", "example"])
+    @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+    def test_one_stability_verdict_at_unit_cooperativity(self, design, ulps):
+        # within ULPs of C = 1 the verdict comes from the eigenvalues alone;
+        # at the example's n_p* core's C is 1.0 but 4G^2/(kappa_a kappa_b)
+        # rounds to 1 - 2^-52, so a verdict from a C comparison could differ
+        if design == "shipped":
+            cfg = load_config(str(SHIPPED_CONFIG)).transducer
+        else:
+            cfg = TransducerConfig(
+                mode_a=Mode("a", 1e15, 172785996.358896, 247322256.22389582),
+                mode_b=Mode("b", 1e10, 0.45284696353498755, 1.1560499640492272),
+                mode_p=Mode("p", 1e15, 1e8, 1e8),
+                g_eo=579.6434744317194,
+            )
+        n_star = critical_photon_number(cfg)
+        if design == "example":
+            assert n_star == 502.9299996111061
+            assert cooperativity(cfg, n_star) == 1.0
+        sys_ = build_linearized(cfg, n_star * (1.0 + ulps * 2.0**-52), Scheme.BLUE)
+        if blue_unstable(sys_):
+            with pytest.raises(InstabilityError):
+                scattering_at(sys_, 0.0)
+        else:
+            assert math.isfinite(scattering_at(sys_, 0.0).conversion)
 
     def test_detuned_threshold_zeroes_the_determinant(self):
         # Im(m11 m22) = 0 when kappa_b*detuning_a = -kappa_a*detuning_b; the
@@ -292,8 +323,6 @@ class TestBlueScheme:
         det_b=st.floats(-5.0, 5.0),
     )
     def test_stability_matches_dense_eigenvalues(self, log_ka, log_kb, log_c, det_a, det_b):
-        from xduce.scattering import _blue_unstable
-
         ka, kb = 10.0**log_ka, 10.0**log_kb
         g = math.sqrt(10.0**log_c * ka * kb / 4.0)
         sys_ = LinearizedSystem(g, ka / 2, ka / 2, kb / 2, kb / 2, Scheme.BLUE,
@@ -302,7 +331,7 @@ class TestBlueScheme:
         eigs = np.linalg.eigvals(m)
         # skip draws whose decisive eigenvalue sits within rounding of the axis
         assume(abs(eigs.real.min()) > 1e-9 * np.abs(eigs).max())
-        assert _blue_unstable(sys_) == (eigs.real.min() <= 0.0)
+        assert blue_unstable(sys_) == (eigs.real.min() <= 0.0)
 
     def test_blue_matches_dense_solver(self, device):
         sys_ = self._blue_at(device, 0.4)
