@@ -52,7 +52,6 @@ class RunConfig:
     table_path: str | None
     plot_path: str | None
     seed: int
-    normalized: dict[str, float]
 
 
 def _get_float(section: configparser.SectionProxy, key: str) -> float:
@@ -71,7 +70,7 @@ def _get_float_opt(section, key: str, default: float) -> float:
     return _get_float(section, key)
 
 
-def _load_mode(device: configparser.SectionProxy, label: str, normalized: dict) -> Mode:
+def _load_mode(device: configparser.SectionProxy, label: str) -> Mode:
     omega = TWO_PI * _get_float(device, f"{label}_frequency_hz")
     q_keys = (f"{label}_q_i", f"{label}_q_ex")
     kappa_keys = (f"{label}_kappa_i_hz", f"{label}_kappa_ex_hz")
@@ -89,9 +88,6 @@ def _load_mode(device: configparser.SectionProxy, label: str, normalized: dict) 
         kappa_ex = TWO_PI * _get_float(device, kappa_keys[1])
     else:
         raise ConfigError(f"[device] mode {label}: no loss rates given")
-    normalized[f"device.{label}_omega_rad_s"] = omega
-    normalized[f"device.{label}_kappa_i_rad_s"] = kappa_i
-    normalized[f"device.{label}_kappa_ex_rad_s"] = kappa_ex
     return Mode(label=label, omega=omega, kappa_i=kappa_i, kappa_ex=kappa_ex)
 
 
@@ -118,26 +114,26 @@ def load_config(path: str) -> RunConfig:
     if "device" not in parser:
         raise ConfigError("missing [device] section")
     device = parser["device"]
-    normalized: dict[str, float] = {}
+    section = "device"  # the section being built, named in value-type rejections
     try:
-        mode_a = _load_mode(device, "a", normalized)
-        mode_b = _load_mode(device, "b", normalized)
-        mode_p = _load_mode(device, "p", normalized)
+        mode_a = _load_mode(device, "a")
+        mode_b = _load_mode(device, "b")
+        mode_p = _load_mode(device, "p")
         g_eo = TWO_PI * _get_float(device, "g_eo_hz")
-        normalized["device.g_eo_rad_s"] = g_eo
         transducer = TransducerConfig(mode_a=mode_a, mode_b=mode_b, mode_p=mode_p, g_eo=g_eo)
 
+        section = "drive"
         drive_section = parser["drive"] if "drive" in parser else None
         power = _get_float_opt(drive_section, "power_w", 0.0)
         detuning = TWO_PI * _get_float_opt(drive_section, "detuning_hz", 0.0)
         scheme = Scheme.RED
         if drive_section is not None and drive_section.get("scheme") is not None:
             scheme = _parse_scheme(drive_section.get("scheme"))
-        normalized["drive.detuning_rad_s"] = detuning
         drive = DriveCondition(pump_power=power, pump_detuning=detuning, scheme=scheme)
 
         herald = None
         if "herald" in parser:
+            section = "herald"
             hsec = parser["herald"]
             mapping = (hsec.get("r0_mapping") or "direct").strip().lower()
             r0_value = None
@@ -153,6 +149,7 @@ def load_config(path: str) -> RunConfig:
 
         sweep = None
         if "sweep" in parser:
+            section = "sweep"
             ssec = parser["sweep"]
             points_raw = ssec.get("power_points")
             points = None
@@ -210,9 +207,9 @@ def load_config(path: str) -> RunConfig:
     except ConfigError:
         raise
     except (ValueError, ArithmeticError) as exc:
-        # domain violations inside Mode/TransducerConfig construction carry
-        # the failing field name already
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+        # a value type rejected a field: its message names the quantity, the
+        # prefix names the section
+        raise ConfigError(f"[{section}] {exc}") from exc
 
     return RunConfig(
         transducer=transducer,
@@ -223,11 +220,15 @@ def load_config(path: str) -> RunConfig:
         table_path=table_path,
         plot_path=plot_path,
         seed=seed,
-        normalized=normalized,
     )
 
 
 def dump_normalized(run: RunConfig) -> str:
     """Human-readable echo of the rad/s values the loader produced."""
-    lines = [f"{key} = {value!r}" for key, value in sorted(run.normalized.items())]
-    return "\n".join(lines)
+    values = {"device.g_eo_rad_s": run.transducer.g_eo,
+              "drive.detuning_rad_s": run.drive.pump_detuning}
+    for mode in (run.transducer.mode_a, run.transducer.mode_b, run.transducer.mode_p):
+        values[f"device.{mode.label}_omega_rad_s"] = mode.omega
+        values[f"device.{mode.label}_kappa_i_rad_s"] = mode.kappa_i
+        values[f"device.{mode.label}_kappa_ex_rad_s"] = mode.kappa_ex
+    return "\n".join(f"{key} = {value!r}" for key, value in sorted(values.items()))

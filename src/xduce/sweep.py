@@ -164,8 +164,6 @@ def retune_microwave_q(cfg: TransducerConfig, q_b: float) -> TransducerConfig:
     The split between intrinsic and external loss is preserved, i.e. the
     extraction ratio stays what the base configuration had.
     """
-    if q_b <= 0.0:
-        raise DomainError(f"Q must be positive, got {q_b!r}")
     b = cfg.mode_b
     total = core.q_to_kappa(b.omega, q_b)
     ratio = b.extraction

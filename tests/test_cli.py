@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -29,7 +30,7 @@ from xduce import (
     retune_microwave_q,
     scattering_at,
 )
-from xduce.cli import run_cli
+from xduce.cli import build_parser, run_cli
 from xduce.config import load_config
 
 HERE = Path(__file__).resolve().parent
@@ -371,6 +372,32 @@ class TestVerifyCommand:
         assert (line in out) == raises
         assert out.count("unstable") == raises
 
+    def test_output_seed_does_not_change_verify(self, tmp_path, capsys):
+        # the probe offsets are a fixed grid; [output] seed only seeds herald --mc
+        outs = []
+        for seed in ("12345", "1"):
+            text = SHIPPED_FIXTURE.read_text().replace("seed = 12345", f"seed = {seed}")
+            assert run_cli(["verify", "--config", write_config(tmp_path, text)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_two_probes_sit_at_half_span(self, tmp_path, capsys):
+        # at this power the rounding-level reciprocity gap differs between
+        # neighbouring grids, so the printed maxima pin the offsets
+        text = SHIPPED_FIXTURE.read_text().replace("power_w = 2e-5", "power_w = 1e-4")
+        path = write_config(tmp_path, text)
+        run = load_config(path)
+        n_p = intracavity_photon_number(run.transducer.mode_p, run.drive)
+        red = build_linearized(run.transducer, n_p, Scheme.RED)
+        span = 5.0 * max(red.kappa_a, red.kappa_b)
+        points = [scattering_at(red, offset) for offset in (-span / 2, span / 2)]
+        excess = max(0.0, *(p.conversion - 1.0 for p in points))
+        gap = max(0.0, *(abs(abs(p.amplitude_ab) - abs(p.amplitude_ba)) for p in points))
+        assert run_cli(["verify", "--config", path, "--probes", "2"]) == 0
+        out = capsys.readouterr().out
+        assert f"max_conversion_excess_over_1 = {excess!r}\n" in out
+        assert f"max_reciprocity_gap = {gap!r}\n" in out
+
     def test_deviation_above_tolerance_exits_6(self, tmp_path, capsys, monkeypatch):
         import xduce.scattering as scattering_mod
         from xduce.scattering import ScatteringPoint
@@ -563,7 +590,7 @@ class TestExitCodes:
          ("sweep", ["--mc", "5"]), ("sweep", ["--seed", "1"]), ("sweep", ["--probes", "3"]),
          ("herald", ["--plot", "x.svg"]), ("herald", ["--probes", "3"]),
          ("verify", ["--format", "csv"]), ("verify", ["--plot", "x.svg"]),
-         ("verify", ["--mc", "5"])],
+         ("verify", ["--mc", "5"]), ("verify", ["--seed", "1"])],
     )
     def test_flag_the_subcommand_does_not_read_exits_2(self, tmp_path, capsys, sub, flags):
         svg = tmp_path / "x.svg"
@@ -576,7 +603,7 @@ class TestExitCodes:
         assert "unrecognized arguments" in captured.err
         assert not svg.exists()
 
-    @pytest.mark.parametrize("flags", [["--probes", "-1"], ["--seed", "-1"]])
+    @pytest.mark.parametrize("flags", [["--probes", "-1"]])
     def test_negative_verify_arguments_exit_5(self, capsys, flags):
         assert run_cli(["verify", "--config", str(SHIPPED_FIXTURE), *flags]) == 5
         assert "non-negative" in capsys.readouterr().err
@@ -622,7 +649,7 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("sub", ["efficiency", "herald"])
+@pytest.mark.parametrize("sub", ["efficiency", "herald", "verify"])
 def test_numpy_free_subcommands_leave_numpy_unloaded(sub):
     code = ("import sys; from xduce.cli import run_cli; rc = run_cli(sys.argv[1:]); "
             "print(rc, 'numpy' in sys.modules, file=sys.stderr)")
@@ -736,3 +763,62 @@ def test_hostile_config_keeps_the_exit_code_contract(changes, scheme, mapping):
             assert code in (0, 2, 3, 4, 5, 6), (argv, text, err.getvalue())
             if code == 0 and fmt is not None:
                 _assert_finite_numbers(fmt, out.getvalue())
+
+
+# Every flag a subcommand may be given, with valid and invalid values; None
+# marks a flag that takes no value. --mc and --probes stay small so no
+# example runs long.
+ARGV_VALUES = {
+    "--format": st.sampled_from(("csv", "jsonl", "xml", "")),
+    "--plot": st.sampled_from(("plot.svg", os.path.join("missing", "plot.svg"))),
+    "--mc": st.one_of(st.sampled_from(("-1", "0", "1", "many", "1e3")),
+                      st.integers(2, 20000).map(str)),
+    "--seed": st.sampled_from(("-1", "0", "1", str(2**200), "seven", "1.5")),
+    "--probes": st.one_of(st.sampled_from(("-1", "0", "1", "all", "2.5")),
+                          st.integers(2, 64).map(str)),
+    "--dump-normalized": st.none(),
+}
+
+
+def parser_flags():
+    """Each subcommand's long options, as ``build_parser`` gives them."""
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {name: set(re.findall(r"--[a-z-]+", parser.format_usage()))
+            for name, parser in subparsers.choices.items()}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sub=st.sampled_from(sorted(parser_flags())), scheme=st.sampled_from(("red", "blue")),
+       stray=st.booleans(), data=st.data())
+def test_no_argv_exits_1(sub, scheme, stray, data):
+    # half the examples give only flags the subcommand reads, so most of them
+    # get past argparse
+    pool = sorted(ARGV_VALUES if stray else parser_flags()[sub] & set(ARGV_VALUES))
+    flags = data.draw(st.lists(st.sampled_from(pool), unique=True))
+    text = SHIPPED_FIXTURE.read_text().replace("scheme = red", f"scheme = {scheme}")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.ini")
+        with open(cfg, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        argv = [sub, "--config", cfg]
+        for flag in flags:
+            value = data.draw(ARGV_VALUES[flag], label=flag)
+            if flag == "--plot":
+                value = os.path.join(tmp, value)
+            argv += [flag] if value is None else [flag, value]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run_cli(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = ("usage", exc.code)
+        assert code in (0, 2, 3, 4, 5, 6, ("usage", 2)), (argv, err.getvalue())
+
+
+def test_readme_synopsis_lists_the_parser_flags():
+    readme = (HERE.parent / "README.md").read_text(encoding="utf-8")
+    synopsis = readme.split("## Command line", 1)[1].split("```")[1]
+    listed = {line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+              for line in synopsis.splitlines() if line.startswith("xduce ")}
+    assert listed == parser_flags()

@@ -144,6 +144,21 @@ def test_power_points_capped_at_load(tmp_path, spacing):
         load_config(write_config(tmp_path, text))
 
 
+@pytest.mark.parametrize(
+    "old, new, section",
+    [("power_points = 16", "power_points = 2001", "sweep"),
+     ("power_max_w = 1e-3", "power_max_w = inf", "sweep"),
+     ("dt_s = 1e-3", "dt_s = -1", "herald"),
+     ("power_w = 2e-5", "power_w = -1", "drive"),
+     ("a_kappa_i_hz = 10e6", "a_kappa_i_hz = -10e6", "device")],
+)
+def test_value_type_rejection_names_the_section(tmp_path, old, new, section):
+    text = SHIPPED_FIXTURE.read_text()
+    assert old in text
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] "):
+        load_config(write_config(tmp_path, text.replace(old, new)))
+
+
 def test_unknown_output_format_rejected(tmp_path):
     text = MINIMAL + "\n[output]\nformat = parquet\n"
     with pytest.raises(ConfigError, match="format"):
