@@ -55,7 +55,6 @@ from .sweep import (
     PowerAxis,
     SweepSpec,
     SweepTable,
-    infidelity_curve,
     maximize_efficiency,
     retune_microwave_q,
     run_sweep,
@@ -96,7 +95,6 @@ __all__ = [
     "SweepTable",
     "run_sweep",
     "maximize_efficiency",
-    "infidelity_curve",
     "retune_microwave_q",
     "DomainError",
     "NoCriticalPointError",

@@ -28,27 +28,22 @@ import sys
 from . import core, herald, scattering, sweep
 from .config import RunConfig, dump_normalized, load_config
 from .core import Scheme
-from .errors import (
-    BracketingError,
-    ConfigError,
-    DomainError,
-    InstabilityError,
-    UsageError,
-)
+from .errors import ConfigError, DomainError, UsageError
 
 VERIFY_TOLERANCE = 1e-9
+VERIFY_PROBES = 32
 
 SWEEP_HEADER = "pump_power_w,q_b,n_p,cooperativity,eta_internal,eta,infidelity"
 
 
-def _emit_record(record: dict, fmt: str, stream) -> None:
+def _emit_record(record: dict, fmt: str) -> None:
     if fmt == "jsonl":
-        stream.write(json.dumps(record) + "\n")
+        sys.stdout.write(json.dumps(record) + "\n")
     else:
-        stream.write(",".join(record.keys()) + "\n")
+        sys.stdout.write(",".join(record.keys()) + "\n")
         cells = ("" if v is None else v if isinstance(v, str) else repr(v)
                  for v in record.values())
-        stream.write(",".join(cells) + "\n")
+        sys.stdout.write(",".join(cells) + "\n")
 
 
 def _sweep_lines(table, fmt: str):
@@ -78,7 +73,7 @@ def cmd_efficiency(run: RunConfig, args) -> int:
         "extraction_a": breakdown.extraction_a,
         "extraction_b": breakdown.extraction_b,
     }
-    _emit_record(record, args.format or run.out_format, sys.stdout)
+    _emit_record(record, args.format or run.out_format)
     return 0
 
 
@@ -179,13 +174,11 @@ def cmd_herald(run: RunConfig, args) -> int:
             mc_gap_sigma=gap,
             mc_seed=estimate.seed,
         )
-    _emit_record(record, args.format or run.out_format, sys.stdout)
+    _emit_record(record, args.format or run.out_format)
     return 0
 
 
 def cmd_verify(run: RunConfig, args) -> int:
-    if args.probes < 0:
-        raise UsageError(f"--probes must be non-negative, got {args.probes}")
     cfg = run.transducer
     n_p = core.intracavity_photon_number(cfg.mode_p, run.drive)
     breakdown = core.conversion_efficiency(cfg, n_p)
@@ -200,15 +193,13 @@ def cmd_verify(run: RunConfig, args) -> int:
     print(f"conversion_numeric = {conversion!r}")
     print(f"max_relative_deviation = {deviation!r}")
 
-    # probe offsets: the midpoints of `probes` equal cells of [-span, span]
+    # probe offsets: the midpoints of VERIFY_PROBES equal cells of [-span, span]
     span = 5.0 * max(red_sys.kappa_a, red_sys.kappa_b)
-    worst_excess = 0.0
-    worst_asym = 0.0
-    for k in range(args.probes):
-        point = scattering.scattering_at(red_sys, span * ((2 * k + 1) / args.probes - 1.0))
-        worst_excess = max(worst_excess, point.conversion - 1.0)
-        worst_asym = max(worst_asym, abs(abs(point.amplitude_ab) - abs(point.amplitude_ba)))
-    print(f"probe_offsets_checked = {args.probes}")
+    points = scattering.conversion_spectrum(
+        red_sys, [span * ((2 * k + 1) / VERIFY_PROBES - 1.0) for k in range(VERIFY_PROBES)])
+    worst_excess = max(0.0, *(p.conversion - 1.0 for p in points))
+    worst_asym = max(0.0, *(abs(abs(p.amplitude_ab) - abs(p.amplitude_ba)) for p in points))
+    print(f"probe_offsets_checked = {VERIFY_PROBES}")
     print(f"max_conversion_excess_over_1 = {worst_excess!r}")
     print(f"max_reciprocity_gap = {worst_asym!r}")
 
@@ -233,7 +224,6 @@ _FLAGS = {
     "--plot": dict(metavar="OUT.SVG", help="write an SVG plot"),
     "--mc": dict(type=int, metavar="N", help="Monte Carlo sample count"),
     "--seed": dict(type=int, help="override the config seed"),
-    "--probes": dict(type=int, default=32, help="evenly spaced probe offsets"),
 }
 
 _COMMANDS = {
@@ -242,7 +232,7 @@ _COMMANDS = {
     "sweep": (cmd_sweep, "power/Q sweep tables and optional SVG plot", ("--format", "--plot")),
     "herald": (cmd_herald, "heralded-entanglement probability breakdown",
                ("--format", "--mc", "--seed")),
-    "verify": (cmd_verify, "steady-state scattering oracle self-test", ("--probes",)),
+    "verify": (cmd_verify, "steady-state scattering oracle self-test", ()),
 }
 
 
@@ -279,15 +269,12 @@ def run_cli(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, BracketingError) as exc:
+    except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except UsageError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 5
-    except InstabilityError as exc:
-        print(f"unstable operating point: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

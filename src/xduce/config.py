@@ -39,6 +39,17 @@ from .core import TWO_PI, DriveCondition, Mode, Scheme, TransducerConfig, q_to_k
 from .errors import ConfigError
 from .sweep import HeraldOptions, PowerAxis, SweepSpec
 
+# The fields each section may hold; a typo in a name is rejected at load.
+_MODE_FIELDS = ("frequency_hz", "q_i", "q_ex", "kappa_i_hz", "kappa_ex_hz")
+_FIELDS = {
+    "device": {f"{label}_{field}" for label in "abp" for field in _MODE_FIELDS} | {"g_eo_hz"},
+    "drive": {"power_w", "detuning_hz", "scheme"},
+    "herald": {"dt_s", "r0_mapping", "r0_per_s"},
+    "sweep": {"power_min_w", "power_max_w", "power_points", "power_spacing", "q_values",
+              "outputs"},
+    "output": {"format", "table", "plot", "seed"},
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -110,6 +121,12 @@ def load_config(path: str) -> RunConfig:
             parser.read_file(handle)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    for name in parser.sections():
+        if name not in _FIELDS:
+            raise ConfigError(f"unknown section [{name}]")
+        unknown = sorted(set(parser[name]) - _FIELDS[name])
+        if unknown:
+            raise ConfigError(f"[{name}] unknown field(s): {', '.join(unknown)}")
 
     if "device" not in parser:
         raise ConfigError("missing [device] section")

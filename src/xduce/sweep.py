@@ -128,6 +128,8 @@ class SweepSpec:
             raise DomainError("q_axis must not be empty")
         if not all(math.isfinite(q) and q > 0.0 for q in q_axis):
             raise DomainError("q_axis values must be finite and positive")
+        if len(set(q_axis)) < len(q_axis):
+            raise DomainError(f"q_axis values must be distinct, got {q_axis}")
         object.__setattr__(self, "q_axis", q_axis)
         allowed = {"efficiency", "cooperativity", "infidelity"}
         unknown = set(self.outputs) - allowed
@@ -223,24 +225,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     return SweepTable(powers.tolist() * len(q_axis), q_b, n_p, c, eta_i, eta, infidelity)
 
 
-def infidelity_curve(
-    cfg: TransducerConfig,
-    power_axis: PowerAxis,
-    options: HeraldOptions,
-    pump_detuning: float = 0.0,
-) -> list[tuple[float, float]]:
-    """Heralded-entanglement infidelity along a power axis (blue scheme).
-
-    Each power maps through n_p -> C -> r0 (per the chosen mapping) to mu
-    and the analytic blue breakdown. Points with mu >= 10 are rejected as
-    outside the model regime.
-    """
-    powers = power_axis.grid()
-    q_b = cfg.mode_b.omega / cfg.mode_b.kappa
-    return list(zip(powers.tolist(), _columns(cfg, powers, pump_detuning, q_b, options)[4]))
-
-
-def _golden_section_max(f, lo: float, hi: float, rtol: float = _GOLDEN_RTOL):
+def _golden_section_max(f, lo: float, hi: float):
     """Golden-section maximum of a unimodal f on [lo, hi].
 
     Returns (x, f(x), iterations). The interval shrinks by the inverse
@@ -252,7 +237,7 @@ def _golden_section_max(f, lo: float, hi: float, rtol: float = _GOLDEN_RTOL):
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     iterations = 0
-    while (b - a) > rtol * (abs(a) + abs(b)) / 2.0 and iterations < _GOLDEN_MAX_ITER:
+    while (b - a) > _GOLDEN_RTOL * (abs(a) + abs(b)) / 2.0 and iterations < _GOLDEN_MAX_ITER:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

@@ -381,7 +381,7 @@ class TestVerifyCommand:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
-    def test_two_probes_sit_at_half_span(self, tmp_path, capsys):
+    def test_probes_are_the_midpoints_of_32_cells(self, tmp_path, capsys):
         # at this power the rounding-level reciprocity gap differs between
         # neighbouring grids, so the printed maxima pin the offsets
         text = SHIPPED_FIXTURE.read_text().replace("power_w = 2e-5", "power_w = 1e-4")
@@ -390,11 +390,18 @@ class TestVerifyCommand:
         n_p = intracavity_photon_number(run.transducer.mode_p, run.drive)
         red = build_linearized(run.transducer, n_p, Scheme.RED)
         span = 5.0 * max(red.kappa_a, red.kappa_b)
-        points = [scattering_at(red, offset) for offset in (-span / 2, span / 2)]
-        excess = max(0.0, *(p.conversion - 1.0 for p in points))
-        gap = max(0.0, *(abs(abs(p.amplitude_ab) - abs(p.amplitude_ba)) for p in points))
-        assert run_cli(["verify", "--config", path, "--probes", "2"]) == 0
+
+        def maxima(cells):
+            points = [scattering_at(red, span * ((2 * k + 1) / cells - 1.0))
+                      for k in range(cells)]
+            return (max(0.0, *(p.conversion - 1.0 for p in points)),
+                    max(0.0, *(abs(abs(p.amplitude_ab) - abs(p.amplitude_ba)) for p in points)))
+
+        excess, gap = maxima(32)
+        assert all(maxima(cells)[1] != gap for cells in (16, 31, 33, 64))
+        assert run_cli(["verify", "--config", path]) == 0
         out = capsys.readouterr().out
+        assert "probe_offsets_checked = 32\n" in out
         assert f"max_conversion_excess_over_1 = {excess!r}\n" in out
         assert f"max_reciprocity_gap = {gap!r}\n" in out
 
@@ -422,6 +429,18 @@ class TestExitCodes:
     def test_malformed_config_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "[device]\na_frequency_hz = not_a_number\n")
         assert run_cli(["efficiency", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("power_points = 16", "power_point = 16", ("[sweep]", "power_point")),
+        ("[sweep]", "[sweeep]", ("[sweeep]",)),
+    ])
+    def test_unknown_section_or_field_exits_2(self, tmp_path, capsys, old, new, named):
+        text = SHIPPED_FIXTURE.read_text()
+        assert old in text
+        assert run_cli(["sweep", "--config", write_config(tmp_path, text.replace(old, new))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert all(word in captured.err for word in named), captured.err
 
     def test_missing_section_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, DEVICE_SECTION)
@@ -590,7 +609,7 @@ class TestExitCodes:
          ("sweep", ["--mc", "5"]), ("sweep", ["--seed", "1"]), ("sweep", ["--probes", "3"]),
          ("herald", ["--plot", "x.svg"]), ("herald", ["--probes", "3"]),
          ("verify", ["--format", "csv"]), ("verify", ["--plot", "x.svg"]),
-         ("verify", ["--mc", "5"]), ("verify", ["--seed", "1"])],
+         ("verify", ["--mc", "5"]), ("verify", ["--seed", "1"]), ("verify", ["--probes", "3"])],
     )
     def test_flag_the_subcommand_does_not_read_exits_2(self, tmp_path, capsys, sub, flags):
         svg = tmp_path / "x.svg"
@@ -602,11 +621,6 @@ class TestExitCodes:
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
         assert not svg.exists()
-
-    @pytest.mark.parametrize("flags", [["--probes", "-1"]])
-    def test_negative_verify_arguments_exit_5(self, capsys, flags):
-        assert run_cli(["verify", "--config", str(SHIPPED_FIXTURE), *flags]) == 5
-        assert "non-negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sub", ["efficiency", "verify"])
     def test_negative_config_seed_exits_2(self, tmp_path, capsys, sub):

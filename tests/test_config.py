@@ -1,9 +1,16 @@
+import contextlib
+import io
 import math
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xduce import ConfigError, Scheme
+from xduce import ConfigError, Mode, Scheme, TransducerConfig
+from xduce.cli import run_cli
 from xduce.config import dump_normalized, load_config
 
 SHIPPED_FIXTURE = Path(__file__).resolve().parent.parent / "configs" / "device.ini"
@@ -169,3 +176,80 @@ def test_negative_seed_rejected(tmp_path):
     text = MINIMAL + "\n[output]\nseed = -1\n"
     with pytest.raises(ConfigError, match="seed"):
         load_config(write_config(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [(MINIMAL.replace("g_eo_hz = 40", "g_eo_hz = 40\ng_eo = 40"), r"^\[device\] .*g_eo\b"),
+     (MINIMAL + "\n[drive]\npower = 1e-3\n", r"^\[drive\] .*power\b"),
+     (MINIMAL + "\n[outputs]\nformat = csv\n", r"^unknown section \[outputs\]"),
+     # [DEFAULT] keys appear in every section, and no section takes this one
+     ("[DEFAULT]\nformat = csv\n" + MINIMAL, r"^\[device\] .*format")],
+)
+def test_unknown_section_or_field_rejected(tmp_path, text, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(write_config(tmp_path, text))
+
+
+def test_repeated_q_values_rejected(tmp_path):
+    text = MINIMAL + (
+        "\n[sweep]\npower_min_w = 1e-7\npower_max_w = 1e-3\npower_points = 11\n"
+        "q_values = 9e7, 9e6, 9e7\n"
+    )
+    with pytest.raises(ConfigError, match=r"^\[sweep\] q_axis values must be distinct"):
+        load_config(write_config(tmp_path, text))
+
+
+def _log10_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda exponent: 10.0 ** exponent)
+
+
+@st.composite
+def device_sections(draw):
+    """A [device] section with each mode in Q form or kappa form."""
+    lines = ["[device]"]
+    for label in "abp":
+        frequency = draw(_log10_uniform(9.0, 15.0))
+        lines.append(f"{label}_frequency_hz = {frequency!r}")
+        if draw(st.booleans()):
+            lines += [f"{label}_q_i = {draw(_log10_uniform(3.0, 12.0))!r}",
+                      f"{label}_q_ex = {draw(_log10_uniform(3.0, 12.0))!r}"]
+        else:
+            lines += [f"{label}_kappa_i_hz = {draw(_log10_uniform(-2.0, 8.0))!r}",
+                      f"{label}_kappa_ex_hz = {draw(_log10_uniform(-2.0, 8.0))!r}"]
+    lines.append(f"g_eo_hz = {draw(_log10_uniform(-1.0, 4.0))!r}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(device=device_sections(),
+       detuning=st.one_of(st.none(), st.floats(-1e9, 1e9, allow_nan=False)))
+def test_dump_normalized_round_trips(device, detuning):
+    text = device + "\n[drive]\npower_w = 1e-6\n"
+    if detuning is not None:
+        text += f"detuning_hz = {detuning!r}\n"
+    text += ("\n[herald]\ndt_s = 1e-3\nr0_per_s = 100\n"
+             "\n[sweep]\npower_min_w = 1e-7\npower_max_w = 1e-3\npower_points = 2\n"
+             "q_values = 9e6\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        run = load_config(path)
+        dumps = set()
+        for sub in ("efficiency", "sweep", "herald", "verify"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                run_cli([sub, "--config", path, "--dump-normalized"])
+            dumps.add("\n".join(out.getvalue().splitlines()[:11]))
+    assert dumps == {dump_normalized(run)}
+    values = {}
+    for line in dumps.pop().splitlines():
+        key, value = line.split(" = ")
+        values[key] = float(value)
+    assert len(values) == 11
+    modes = [Mode(label, values[f"device.{label}_omega_rad_s"],
+                  values[f"device.{label}_kappa_i_rad_s"],
+                  values[f"device.{label}_kappa_ex_rad_s"]) for label in "abp"]
+    assert TransducerConfig(*modes, g_eo=values["device.g_eo_rad_s"]) == run.transducer
+    assert values["drive.detuning_rad_s"] == run.drive.pump_detuning

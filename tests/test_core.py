@@ -1,9 +1,10 @@
 import math
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
 
+import xduce
 from xduce import (
     HBAR,
     DomainError,
@@ -292,3 +293,11 @@ def test_drive_condition_validation():
         DriveCondition(pump_power=-1.0)
     with pytest.raises(DomainError):
         DriveCondition(pump_power=1.0, pump_detuning=math.nan)
+
+
+def test_all_lists_exactly_the_public_names():
+    # a name half removed (still bound, or still listed) shows up here
+    bound = {name for name, value in vars(xduce).items()
+             if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert len(set(xduce.__all__)) == len(xduce.__all__)
+    assert set(xduce.__all__) == bound

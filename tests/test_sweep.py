@@ -22,7 +22,6 @@ from xduce import (
     conversion_efficiency,
     cooperativity,
     critical_pump_power,
-    infidelity_curve,
     intracavity_photon_number,
     maximize_efficiency,
     retune_microwave_q,
@@ -74,7 +73,8 @@ class TestPowerAxis:
 
 
 class TestSweepSpec:
-    @pytest.mark.parametrize("q_axis", [(math.nan, 9e7), (9e6, math.inf), (0.0,), ()])
+    @pytest.mark.parametrize("q_axis", [(math.nan, 9e7), (9e6, math.inf), (0.0,), (),
+                                        (9e7, 9e6, 9e7)])
     def test_bad_q_values_rejected(self, device, q_axis):
         with pytest.raises(DomainError, match="q_axis"):
             SweepSpec(config=device, power_axis=PowerAxis(1e-7, 1e-3, points=4), q_axis=q_axis)
@@ -255,43 +255,22 @@ class TestMaximizeEfficiency:
         assert x == pytest.approx(p_star, rel=1e-6)
 
 
-class TestInfidelityCurve:
-    def test_zero_power_gives_zero(self, device):
-        axis = PowerAxis(0.0, 1e-3, points=5, spacing="linear")
-        options = HeraldOptions(dt=1e-6, r0_mapping="c_kappa_b")
-        curve = infidelity_curve(device, axis, options)
-        assert curve[0] == (0.0, 0.0)
-
-    def test_monotone_in_power_at_low_mu(self, device):
-        axis = PowerAxis(0.0, 1e-3, points=60, spacing="linear")
-        options = HeraldOptions(dt=1e-6, r0_mapping="c_kappa_b")
-        curve = infidelity_curve(device, axis, options)
-        values = [v for _, v in curve]
-        mu_max = cooperativity(
-            device, intracavity_photon_number(device.mode_p, DriveCondition(1e-3))
-        ) * device.mode_b.kappa * 1e-6
-        assert mu_max < 0.2
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_matches_manual_composition(self, device):
-        axis = PowerAxis(1e-6, 1e-4, points=7, spacing="log")
-        for options in (
-            HeraldOptions(dt=1e-6, r0_mapping="c_kappa_b"),
-            HeraldOptions(dt=1e-3, r0_mapping="direct", r0_value=55.0),
-        ):
-            curve = infidelity_curve(device, axis, options)
-            for power, value in curve:
-                n_p = intracavity_photon_number(device.mode_p, DriveCondition(pump_power=power))
-                c = cooperativity(device, n_p)
-                r0 = options.r0_value if options.r0_mapping == "direct" else c * device.mode_b.kappa
-                expected = blue_breakdown(HeraldModel(r0=r0, dt=options.dt, scheme=Scheme.BLUE))
-                assert value == expected.infidelity
-
-    def test_large_mu_rejected(self, device):
-        axis = PowerAxis(1e-3, 1e-1, points=3, spacing="log")
-        options = HeraldOptions(dt=1.0, r0_mapping="c_kappa_b")
-        with pytest.raises(ModelRegimeError):
-            infidelity_curve(device, axis, options)
+def test_sweep_infidelity_monotone_in_power_at_low_mu(device):
+    q_b = device.mode_b.omega / device.mode_b.kappa
+    spec = SweepSpec(
+        config=device,
+        power_axis=PowerAxis(0.0, 1e-3, points=60, spacing="linear"),
+        q_axis=(q_b,),
+        outputs=("infidelity",),
+        herald_options=HeraldOptions(dt=1e-6, r0_mapping="c_kappa_b"),
+    )
+    values = run_sweep(spec).infidelity
+    mu_max = cooperativity(
+        device, intracavity_photon_number(device.mode_p, DriveCondition(1e-3))
+    ) * device.mode_b.kappa * 1e-6
+    assert mu_max < 0.2
+    assert len(values) == 60
+    assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_herald_options_validation():
@@ -340,7 +319,8 @@ def sweep_specs(draw):
     return SweepSpec(
         config=device,
         power_axis=axis,
-        q_axis=tuple(draw(st.lists(_log_float(4.0, 10.0), min_size=1, max_size=4))),
+        q_axis=tuple(draw(st.lists(_log_float(4.0, 10.0), min_size=1, max_size=4,
+                                   unique=True))),
         outputs=("efficiency", "cooperativity", "infidelity"),
         herald_options=options,
         pump_detuning=draw(st.sampled_from([0.0, 3e7, -2e9])),
