@@ -19,7 +19,6 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -47,19 +46,35 @@ def _emit_record(record: dict, fmt: str) -> None:
 
 
 def _sweep_lines(table, fmt: str):
-    """The table's lines, each row formatted by one template from the
-    columns. run_sweep only returns finite floats, whose ``repr`` is also
-    their JSON form."""
-    columns = table.columns()
-    cells = ["{!r}"] * len(columns)
-    if table.infidelity is None:
-        columns = columns[:-1]
-        cells[-1] = "null" if fmt == "jsonl" else ""
+    """The table's text, one chunk per Q_b's run of rows, formatting each
+    distinct value once: a run's line template has its Q_b, and an
+    infidelity constant over the run, written in, and the power and n_p
+    reprs are kept while runs repeat them. run_sweep only returns finite
+    floats and no -0.0, so equal values print alike, and a ``repr`` is also
+    the value's JSON form."""
     if fmt == "jsonl":
-        pairs = (f'"{name}": {cell}' for name, cell in zip(SWEEP_HEADER.split(","), cells))
-        return map(("{{" + ", ".join(pairs) + "}}\n").format, *columns)
-    lines = map((",".join(cells) + "\n").format, *columns)
-    return itertools.chain((SWEEP_HEADER + "\n",), lines)
+        line = "{{" + ", ".join(f'"{name}": {{}}' for name in SWEEP_HEADER.split(",")) + "}}\n"
+    else:
+        line = ",".join(["{}"] * 7) + "\n"
+        yield SWEEP_HEADER + "\n"
+    shared = None  # (powers, n_p, their reprs) of the previous run
+    for q_b, start, stop in table.runs():
+        powers, n_p = table.pump_power_w[start:stop], table.n_p[start:stop]
+        if shared is None or shared[:2] != (powers, n_p):
+            shared = powers, n_p, list(map(repr, powers)), list(map(repr, n_p))
+        columns = [shared[2], shared[3], table.cooperativity[start:stop],
+                   table.eta_i[start:stop], table.eta[start:stop]]
+        if table.infidelity is None:
+            last = "null" if fmt == "jsonl" else ""
+        else:
+            infidelity = table.infidelity[start:stop]
+            if infidelity.count(infidelity[0]) == len(infidelity):
+                last = repr(infidelity[0])
+            else:
+                last = "%r"
+                columns.append(infidelity)
+        template = line.format("%s", repr(q_b), "%s", "%r", "%r", "%r", last)
+        yield "".join(map(template.__mod__, zip(*columns)))
 
 
 def cmd_efficiency(run: RunConfig, args) -> int:

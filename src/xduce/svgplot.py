@@ -9,9 +9,7 @@ placed on a log axis and are skipped.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from xml.etree import ElementTree as ET
 
 WIDTH = 800.0
@@ -35,30 +33,34 @@ def _text(svg, x: float, y: float, text: str, **attrs) -> None:
     ET.SubElement(svg, "text", x=_fmt(x), y=_fmt(y), **attrs).text = text
 
 
-def _panel(svg, table, values, title: str, log_y: bool, x0: float, panel_w: float,
+def _panel(svg, runs, values, title: str, log_y: bool, x0: float, panel_w: float,
            note: str | None):
-    # per Q, the points a log power axis (and a log-y axis) can place; a
-    # sweep table is sorted by Q, so each Q is one run of rows
-    points_by_q = {
-        q: [(p, v) for _, p, v in run if p > 0.0 and (v > 0.0 or not log_y)]
-        for q, run in itertools.groupby(zip(table.q_b, table.pump_power_w, values),
-                                        key=operator.itemgetter(0))
-    }
-    xs = [p for points in points_by_q.values() for p, _ in points]
-    ys = [v for points in points_by_q.values() for _, v in points]
+    # per Q, the powers, their logs and the values of the points a log power
+    # axis (and a log-y axis) can place; a run whose points all can keeps the
+    # power lists it shares with the other runs
+    placeable = []
+    for _, start, stop, powers, logs in runs:
+        vs = values[start:stop]
+        if min(powers) <= 0.0 or (log_y and min(vs) <= 0.0):
+            kept = [i for i, (p, v) in enumerate(zip(powers, vs))
+                    if p > 0.0 and (v > 0.0 or not log_y)]
+            powers, logs, vs = ([column[i] for i in kept] for column in (powers, logs, vs))
+        placeable.append((powers, logs, vs))
+    placed = [run for run in placeable if run[0]]
+    if not placed:
+        return
     plot_x0 = x0 + _MARGIN["left"]
     plot_x1 = x0 + panel_w - _MARGIN["right"]
     plot_y0 = _MARGIN["top"]
     plot_y1 = HEIGHT - _MARGIN["bottom"]
-    if not xs:
-        return
-    lx_min, lx_max = math.log10(min(xs)), math.log10(max(xs))
+    lx_min = math.log10(min(min(powers) for powers, _, _ in placed))
+    lx_max = math.log10(max(max(powers) for powers, _, _ in placed))
     if lx_max == lx_min:
         lx_min, lx_max = lx_min - 0.5, lx_max + 0.5
+    y_min = min(min(vs) for _, _, vs in placed)
+    y_max = max(max(vs) for _, _, vs in placed)
     if log_y:
-        y_min, y_max = math.log10(min(ys)), math.log10(max(ys))
-    else:
-        y_min, y_max = min(ys), max(ys)
+        y_min, y_max = math.log10(y_min), math.log10(y_max)
     if y_max == y_min:
         y_min, y_max = y_min - 0.5, y_max + 0.5
 
@@ -88,19 +90,19 @@ def _panel(svg, table, values, title: str, log_y: bool, x0: float, panel_w: floa
 
     x_span, x_width = lx_max - lx_min, plot_x1 - plot_x0
     y_span, y_height = y_max - y_min, plot_y1 - plot_y0
-    for idx, points in enumerate(points_by_q.values()):
-        if not points:
+    template_logs = None
+    for idx, (_, logs, vs) in enumerate(placeable):
+        if not vs:
             continue
-        coords = [
-            "%.2f %.2f" % (
-                plot_x0 + (math.log10(p) - lx_min) / x_span * x_width,
-                plot_y1 - ((math.log10(v) if log_y else v) - y_min) / y_span * y_height,
-            )
-            for p, v in points
-        ]
+        if logs is not template_logs:  # each x is formatted once per shared power list
+            template_logs = logs
+            template = "M " + " L ".join(
+                ["%.2f" % (plot_x0 + (lp - lx_min) / x_span * x_width) + " %.2f" for lp in logs])
+        ys = tuple(plot_y1 - (t - y_min) / y_span * y_height
+                   for t in (map(math.log10, vs) if log_y else vs))
         ET.SubElement(
             svg, "path",
-            d="M " + " L ".join(coords), fill="none",
+            d=template % ys, fill="none",
             stroke=_PALETTE[idx % len(_PALETTE)], **{"stroke-width": "1.5"},
         )
 
@@ -122,16 +124,25 @@ def render_sweep_svg(table, outputs, note: str | None = None) -> str:
     )
     outputs = list(outputs)
     panel_w = WIDTH / max(1, len(outputs))
+    # per Q: (Q_b, start, stop, powers, log10 of each power); runs with the
+    # same powers share both lists, so each log is taken once per sweep
+    runs = []
+    powers = None
+    for q_b, start, stop in table.runs():
+        if table.pump_power_w[start:stop] != powers:
+            powers = table.pump_power_w[start:stop]
+            logs = [math.log10(p) if p > 0.0 else None for p in powers]
+        runs.append((q_b, start, stop, powers, logs))
     for i, output in enumerate(outputs):
         if output not in _COLUMNS:
             raise ValueError(f"no such output column: {output!r}")
         column, title = _COLUMNS[output]
         values = getattr(table, column)
         if values is not None:
-            _panel(svg, table, values, title, output == "infidelity", i * panel_w, panel_w,
+            _panel(svg, runs, values, title, output == "infidelity", i * panel_w, panel_w,
                    note if i == 0 else None)
     # legend, one swatch per Q
-    for idx, q in enumerate(dict.fromkeys(table.q_b)):
+    for idx, (q, *_) in enumerate(runs):
         y = 14.0 + 14.0 * idx
         ET.SubElement(
             svg, "rect", x=_fmt(WIDTH - 150.0), y=_fmt(y - 8.0),

@@ -135,6 +135,8 @@ class SweepSpec:
         unknown = set(self.outputs) - allowed
         if unknown:
             raise DomainError(f"unknown outputs requested: {sorted(unknown)}")
+        if len(set(self.outputs)) < len(self.outputs):
+            raise DomainError(f"outputs must be distinct, got {self.outputs}")
         if "infidelity" in self.outputs and self.herald_options is None:
             raise DomainError("infidelity output requires herald options")
 
@@ -156,6 +158,14 @@ class SweepTable:
     def columns(self) -> tuple:
         return tuple(getattr(self, field.name) for field in fields(self))
 
+    def runs(self):
+        """(Q_b, start, stop) of each run of rows that share a Q_b."""
+        start = 0
+        for q_b, run in itertools.groupby(self.q_b):
+            stop = start + len(list(run))
+            yield q_b, start, stop
+            start = stop
+
     def __len__(self) -> int:
         return len(self.pump_power_w)
 
@@ -173,16 +183,16 @@ def retune_microwave_q(cfg: TransducerConfig, q_b: float) -> TransducerConfig:
     return replace(cfg, mode_b=new_b)
 
 
-def _columns(cfg: TransducerConfig, powers: np.ndarray, pump_detuning: float, q_b: float,
+def _columns(cfg: TransducerConfig, powers: np.ndarray, n_p: np.ndarray, q_b: float,
              options: HeraldOptions | None) -> tuple:
-    """n_p, C, eta_i, eta and infidelity (None without ``options``) lists at
-    one Q. The first power where the chain fails (a non-finite (1+C)^2 or
-    r0, or mu >= 10) raises, with its coordinates. Infidelity goes through
-    ``math.exp`` like the scalar breakdown, once if r0 is fixed."""
+    """C, eta_i, eta and infidelity (None without ``options``) lists at one
+    Q, from the photon numbers ``n_p`` at ``powers``. The first power where
+    the chain fails (a non-finite (1+C)^2 or r0, or mu >= 10) raises, with
+    its coordinates. Infidelity goes through ``math.exp`` like the scalar
+    breakdown, once if r0 is fixed."""
     import numpy as np
 
     with np.errstate(all="ignore"):
-        n_p = core.photon_number(cfg.mode_p, powers, pump_detuning)
         c, square, eta_i, eta = core.efficiency_chain(n_p, *core.chain_scalars(cfg))
         overflow = ~np.isfinite(square)
         failed = overflow
@@ -206,23 +216,29 @@ def _columns(cfg: TransducerConfig, powers: np.ndarray, pump_detuning: float, q_
         infidelity = [herald.blue_probabilities(float(mu[0]))[4]] * len(powers)
     elif options is not None:
         infidelity = [herald.blue_probabilities(m)[4] for m in mu.tolist()]
-    return n_p.tolist(), c.tolist(), eta_i.tolist(), eta.tolist(), infidelity
+    return c.tolist(), eta_i.tolist(), eta.tolist(), infidelity
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate every (Q_b, power) pair of the spec, in that sort order.
     The first failing point aborts the sweep, with its coordinates."""
+    import numpy as np
+
     powers = spec.power_axis.grid()
     options = spec.herald_options if "infidelity" in spec.outputs else None
     q_axis = sorted(spec.q_axis)
-    per_q = [_columns(retune_microwave_q(spec.config, q_b), powers, spec.pump_detuning, q_b,
-                      options) for q_b in q_axis]
-    n_p, c, eta_i, eta, infidelity = (
+    # retuning Q changes only mode b, so n_p is one column for every Q
+    with np.errstate(all="ignore"):
+        n_p = core.photon_number(spec.config.mode_p, powers, spec.pump_detuning)
+    per_q = [_columns(retune_microwave_q(spec.config, q_b), powers, n_p, q_b, options)
+             for q_b in q_axis]
+    c, eta_i, eta, infidelity = (
         None if parts[0] is None else list(itertools.chain.from_iterable(parts))
         for parts in zip(*per_q)
     )
     q_b = [q for q in q_axis for _ in range(len(powers))]
-    return SweepTable(powers.tolist() * len(q_axis), q_b, n_p, c, eta_i, eta, infidelity)
+    return SweepTable(powers.tolist() * len(q_axis), q_b, n_p.tolist() * len(q_axis), c,
+                      eta_i, eta, infidelity)
 
 
 def _golden_section_max(f, lo: float, hi: float):

@@ -30,8 +30,9 @@ from xduce import (
     retune_microwave_q,
     scattering_at,
 )
-from xduce.cli import build_parser, run_cli
+from xduce.cli import _sweep_lines, build_parser, run_cli
 from xduce.config import load_config
+from xduce.sweep import HeraldOptions, PowerAxis, SweepSpec, run_sweep
 
 HERE = Path(__file__).resolve().parent
 SHIPPED_FIXTURE = HERE.parent / "configs" / "device.ini"
@@ -76,6 +77,18 @@ format = csv
 table = {table}
 seed = 12345
 """
+
+# r0 = C * kappa_b on a linear grid from 0 W: the SVG's note, and points a
+# log power axis (and the log-y infidelity panel) cannot place
+LINEAR_TEMPLATE = (
+    GOLDEN_TEMPLATE.replace("r0_mapping = direct", "r0_mapping = c_kappa_b")
+    .replace("dt_s = 1e-3", "dt_s = 3e-7")
+    .replace("power_min_w = 1e-7", "power_min_w = 0")
+    .replace("power_points = 6", "power_points = 9")
+    .replace("power_spacing = log", "power_spacing = linear")
+    .replace("q_values = 9e6, 9e7", "q_values = 9e7, 9e6, 9e8")
+)
+GOLDEN_SVGS = {"golden_sweep.svg": GOLDEN_TEMPLATE, "golden_sweep_linear.svg": LINEAR_TEMPLATE}
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -148,6 +161,13 @@ class TestSweepCommand:
         assert outputs[0] == outputs[1]
         assert outputs[0] == golden
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SVGS))
+    def test_golden_svg_byte_stability(self, tmp_path, name):
+        table, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+        cfg = write_config(tmp_path, GOLDEN_SVGS[name].format(table=table))
+        assert run_cli(["sweep", "--config", cfg, "--plot", str(svg)]) == 0
+        assert svg.read_bytes() == (HERE / "data" / name).read_bytes()
+
     def test_header_contract(self, tmp_path):
         table = tmp_path / "out.csv"
         cfg = write_config(tmp_path, GOLDEN_TEMPLATE.format(table=table))
@@ -204,6 +224,37 @@ class TestSweepCommand:
                 else:
                     lines.append(",".join(map(repr, values)))
         assert table.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        mapping=st.sampled_from((None, "direct", "c_kappa_b")),
+        dt=st.one_of(st.just(0.0), st.floats(1e-9, 1e-5)),
+        r0=st.one_of(st.just(0.0), st.floats(1.0, 1e3)),
+        q_axis=st.lists(st.floats(1e5, 1e9), min_size=1, max_size=4, unique=True),
+        spacing=st.sampled_from(("log", "linear")),
+        points=st.integers(2, 40),
+    )
+    def test_table_bytes_match_a_repr_per_cell(self, mapping, dt, r0, q_axis, spacing, points):
+        # the formatter writes each distinct value once per run or per sweep;
+        # the reference calls repr (or json.dumps) on every cell of every row
+        device = load_config(str(SHIPPED_FIXTURE)).transducer
+        options = None if mapping is None else HeraldOptions(
+            dt=dt, r0_mapping=mapping, r0_value=r0 if mapping == "direct" else None)
+        spec = SweepSpec(
+            config=device,
+            power_axis=PowerAxis(1e-7 if spacing == "log" else 0.0, 1e-3, points, spacing),
+            q_axis=tuple(q_axis),
+            outputs=("efficiency",) + (("infidelity",) if options else ()),
+            herald_options=options,
+        )
+        table = run_sweep(spec)
+        rows = list(zip(*(column or [None] * len(table) for column in table.columns())))
+        names = SWEEP_HEADER.split(",")
+        csv = [SWEEP_HEADER] + [",".join("" if v is None else repr(v) for v in row)
+                                for row in rows]
+        jsonl = [json.dumps(dict(zip(names, row))) for row in rows]
+        for fmt, lines in (("csv", csv), ("jsonl", jsonl)):
+            assert "".join(_sweep_lines(table, fmt)) == "\n".join(lines) + "\n"
 
     def test_svg_structure_one_path_per_q(self, tmp_path):
         svg_path = tmp_path / "plot.svg"
@@ -581,6 +632,18 @@ class TestExitCodes:
         cfg = write_config(tmp_path, text.replace(old, new))
         assert run_cli(["sweep", "--config", cfg]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_repeated_outputs_exit_2(self, tmp_path, capsys):
+        text = GOLDEN_TEMPLATE.format(table=tmp_path / "out.csv")
+        text = text.replace("outputs = efficiency, cooperativity, infidelity",
+                            "outputs = efficiency, efficiency")
+        plot = tmp_path / "plot.svg"
+        assert run_cli(["sweep", "--config", write_config(tmp_path, text), "--plot",
+                        str(plot)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: [sweep] outputs must be distinct")
+        assert sorted(os.listdir(tmp_path)) == ["run.ini"]
 
     def test_too_many_power_points_exits_2(self, tmp_path, capsys):
         text = GOLDEN_TEMPLATE.format(table=tmp_path / "out.csv")

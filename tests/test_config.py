@@ -200,6 +200,15 @@ def test_repeated_q_values_rejected(tmp_path):
         load_config(write_config(tmp_path, text))
 
 
+def test_repeated_outputs_rejected(tmp_path):
+    text = MINIMAL + (
+        "\n[sweep]\npower_min_w = 1e-7\npower_max_w = 1e-3\npower_points = 11\n"
+        "q_values = 9e6\noutputs = efficiency, efficiency\n"
+    )
+    with pytest.raises(ConfigError, match=r"^\[sweep\] outputs must be distinct"):
+        load_config(write_config(tmp_path, text))
+
+
 def _log10_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda exponent: 10.0 ** exponent)
 
