@@ -43,17 +43,16 @@ spec = SweepSpec(
     outputs=("efficiency", "cooperativity", "infidelity"),
     herald_options=HeraldOptions(dt=1e-6, r0_mapping="c_kappa_b"),
 )
-table = run_sweep(spec)  # a SweepTable: one list per column, sorted by Q then power
+table = run_sweep(spec)  # a SweepTable: the power grid once, one curve per Q (ascending)
 print(f"swept {len(table)} operating points")
 
-for q_b in spec.q_axis:
-    rows_at_q = [i for i, q in enumerate(table.q_b) if q == q_b]
-    best = max(rows_at_q, key=table.eta.__getitem__)
+for q_b, eta in zip(table.q_b, table.eta):
+    best = max(range(len(eta)), key=eta.__getitem__)
     cfg = retune_microwave_q(device, q_b)
     p_star = critical_pump_power(cfg)
     p_opt, eta_opt = maximize_efficiency(cfg, (p_star / 100, p_star * 100))
     print(f"Q = {q_b:.1e}:")
-    eta_best, p_best = table.eta[best], table.pump_power_w[best]
+    eta_best, p_best = eta[best], table.pump_power_w[best]
     print(f"  grid peak      : eta = {eta_best:.4f} at P = {p_best:.3e} W")
     print(f"  golden section : eta = {eta_opt:.4f} at P = {p_opt:.3e} W")
     print(f"  closed form P* : {p_star:.3e} W")
@@ -66,7 +65,10 @@ print(f"peak-power ratio P*(10Q)/P*(Q) = {p_high / p_low:.3f}")
 csv_path = OUT / "sweep_demo.csv"
 with open(csv_path, "w") as handle:
     handle.write("pump_power_w,q_b,n_p,cooperativity,eta_internal,eta,infidelity\n")
-    handle.writelines(map("{!r},{!r},{!r},{!r},{!r},{!r},{!r}\n".format, *table.columns()))
+    for q_b, *curves in zip(table.q_b, table.cooperativity, table.eta_i, table.eta,
+                            table.infidelity):
+        handle.writelines(map("{!r},{!r},{!r},{!r},{!r},{!r},{!r}\n".format, table.pump_power_w,
+                              [q_b] * len(table.n_p), table.n_p, *curves))
 svg_path = OUT / "sweep_demo.svg"
 svg_path.write_text(render_sweep_svg(table, spec.outputs,
                                      note="r0 mapping: c_kappa_b (modeling assumption)"))

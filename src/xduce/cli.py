@@ -46,28 +46,23 @@ def _emit_record(record: dict, fmt: str) -> None:
 
 
 def _sweep_lines(table, fmt: str):
-    """The table's text, one chunk per Q_b's run of rows, formatting each
-    distinct value once: a run's line template has its Q_b, and an
-    infidelity constant over the run, written in, and the power and n_p
-    reprs are kept while runs repeat them. run_sweep only returns finite
-    floats and no -0.0, so equal values print alike, and a ``repr`` is also
-    the value's JSON form."""
+    """The table's text, one chunk per Q_b, formatting each distinct value
+    once: the power and n_p reprs once per sweep, and a Q_b's line template
+    has its Q_b, and an infidelity constant over the grid, written in.
+    run_sweep only returns finite floats and no -0.0, so equal values print
+    alike, and a ``repr`` is also the value's JSON form."""
     if fmt == "jsonl":
         line = "{{" + ", ".join(f'"{name}": {{}}' for name in SWEEP_HEADER.split(",")) + "}}\n"
     else:
         line = ",".join(["{}"] * 7) + "\n"
         yield SWEEP_HEADER + "\n"
-    shared = None  # (powers, n_p, their reprs) of the previous run
-    for q_b, start, stop in table.runs():
-        powers, n_p = table.pump_power_w[start:stop], table.n_p[start:stop]
-        if shared is None or shared[:2] != (powers, n_p):
-            shared = powers, n_p, list(map(repr, powers)), list(map(repr, n_p))
-        columns = [shared[2], shared[3], table.cooperativity[start:stop],
-                   table.eta_i[start:stop], table.eta[start:stop]]
+    powers, n_p = list(map(repr, table.pump_power_w)), list(map(repr, table.n_p))
+    for k, q_b in enumerate(table.q_b):
+        columns = [powers, n_p, table.cooperativity[k], table.eta_i[k], table.eta[k]]
         if table.infidelity is None:
             last = "null" if fmt == "jsonl" else ""
         else:
-            infidelity = table.infidelity[start:stop]
+            infidelity = table.infidelity[k]
             if infidelity.count(infidelity[0]) == len(infidelity):
                 last = repr(infidelity[0])
             else:
@@ -96,6 +91,10 @@ def cmd_sweep(run: RunConfig, args) -> int:
     spec = run.sweep
     if spec is None:
         raise ConfigError("missing [sweep] section")
+    plot_path = args.plot or run.plot_path
+    if (run.table_path and plot_path
+            and os.path.realpath(run.table_path) == os.path.realpath(plot_path)):
+        raise ConfigError(f"the table and the plot name one file: {plot_path}")
     note = None
     if spec.herald_options is not None and spec.herald_options.r0_mapping == "c_kappa_b":
         note = "r0 mapping: c_kappa_b (r0 = C * kappa_b), an explicit modeling assumption"
@@ -106,7 +105,6 @@ def cmd_sweep(run: RunConfig, args) -> int:
     if run.table_path:
         files.append((run.table_path, "", lines))
         lines = ()
-    plot_path = args.plot or run.plot_path
     if plot_path:
         from . import svgplot
 

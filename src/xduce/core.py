@@ -31,6 +31,13 @@ HBAR = 1.054571817e-34
 TWO_PI = 2.0 * math.pi
 
 
+def store_floats(obj, *names: str) -> None:
+    """Replace each named field of a frozen dataclass with its ``float``, so
+    NumPy scalars (float32 included) give float64 results downstream."""
+    for name in names:
+        object.__setattr__(obj, name, float(getattr(obj, name)))
+
+
 def _require_finite(value: float, name: str) -> None:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
@@ -85,6 +92,7 @@ class Mode:
     kappa_ex: float
 
     def __post_init__(self) -> None:
+        store_floats(self, "omega", "kappa_i", "kappa_ex")
         if self.label not in ("a", "b", "p"):
             raise DomainError(f"mode label must be 'a', 'b' or 'p', got {self.label!r}")
         _require_positive(self.omega, f"mode {self.label}: omega")
@@ -119,6 +127,7 @@ class TransducerConfig:
     g_eo: float
 
     def __post_init__(self) -> None:
+        store_floats(self, "g_eo")
         _require_non_negative(self.g_eo, "g_eo")
         labels = (self.mode_a.label, self.mode_b.label, self.mode_p.label)
         if labels != ("a", "b", "p"):
@@ -140,6 +149,7 @@ class DriveCondition:
     scheme: Scheme = Scheme.RED
 
     def __post_init__(self) -> None:
+        store_floats(self, "pump_power", "pump_detuning")
         _require_non_negative(self.pump_power, "pump_power")
         _require_finite(self.pump_detuning, "pump_detuning")
 

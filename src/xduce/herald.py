@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Scheme
+from .core import Scheme, store_floats
 from .errors import DomainError, ModelRegimeError, UsageError
 
 # Upper end of the blue herald model's regime in mu; the breakdown, the
@@ -43,6 +43,7 @@ class HeraldModel:
     scheme: Scheme
 
     def __post_init__(self) -> None:
+        store_floats(self, "r0", "dt")
         if not (math.isfinite(self.r0) and self.r0 >= 0.0):
             raise DomainError(f"r0 must be finite and non-negative, got {self.r0!r}")
         if not (math.isfinite(self.dt) and self.dt >= 0.0):

@@ -33,20 +33,20 @@ def _text(svg, x: float, y: float, text: str, **attrs) -> None:
     ET.SubElement(svg, "text", x=_fmt(x), y=_fmt(y), **attrs).text = text
 
 
-def _panel(svg, runs, values, title: str, log_y: bool, x0: float, panel_w: float,
+def _panel(svg, powers, logs, curves, title: str, log_y: bool, x0: float, panel_w: float,
            note: str | None):
     # per Q, the powers, their logs and the values of the points a log power
-    # axis (and a log-y axis) can place; a run whose points all can keeps the
-    # power lists it shares with the other runs
+    # axis (and a log-y axis) can place; a curve whose points all can keeps
+    # the power lists it shares with the other curves
     placeable = []
-    for _, start, stop, powers, logs in runs:
-        vs = values[start:stop]
+    for vs in curves:
+        xs, lxs = powers, logs
         if min(powers) <= 0.0 or (log_y and min(vs) <= 0.0):
             kept = [i for i, (p, v) in enumerate(zip(powers, vs))
                     if p > 0.0 and (v > 0.0 or not log_y)]
-            powers, logs, vs = ([column[i] for i in kept] for column in (powers, logs, vs))
-        placeable.append((powers, logs, vs))
-    placed = [run for run in placeable if run[0]]
+            xs, lxs, vs = ([column[i] for i in kept] for column in (powers, logs, vs))
+        placeable.append((xs, lxs, vs))
+    placed = [curve for curve in placeable if curve[0]]
     if not placed:
         return
     plot_x0 = x0 + _MARGIN["left"]
@@ -111,7 +111,7 @@ def render_sweep_svg(table, outputs, note: str | None = None) -> str:
     """Render a sweep table to an SVG document string.
 
     ``table`` is the :class:`xduce.sweep.SweepTable` of
-    :func:`xduce.sweep.run_sweep`, read by column; ``outputs`` the ordered
+    :func:`xduce.sweep.run_sweep`, one curve per Q; ``outputs`` the ordered
     output columns to draw, one panel each. ``note`` is an optional
     annotation (e.g. the r0 mapping in effect).
     """
@@ -124,25 +124,18 @@ def render_sweep_svg(table, outputs, note: str | None = None) -> str:
     )
     outputs = list(outputs)
     panel_w = WIDTH / max(1, len(outputs))
-    # per Q: (Q_b, start, stop, powers, log10 of each power); runs with the
-    # same powers share both lists, so each log is taken once per sweep
-    runs = []
-    powers = None
-    for q_b, start, stop in table.runs():
-        if table.pump_power_w[start:stop] != powers:
-            powers = table.pump_power_w[start:stop]
-            logs = [math.log10(p) if p > 0.0 else None for p in powers]
-        runs.append((q_b, start, stop, powers, logs))
+    powers = table.pump_power_w
+    logs = [math.log10(p) if p > 0.0 else None for p in powers]  # once per sweep
     for i, output in enumerate(outputs):
         if output not in _COLUMNS:
             raise ValueError(f"no such output column: {output!r}")
         column, title = _COLUMNS[output]
-        values = getattr(table, column)
-        if values is not None:
-            _panel(svg, runs, values, title, output == "infidelity", i * panel_w, panel_w,
-                   note if i == 0 else None)
+        curves = getattr(table, column)
+        if curves is not None:
+            _panel(svg, powers, logs, curves, title, output == "infidelity", i * panel_w,
+                   panel_w, note if i == 0 else None)
     # legend, one swatch per Q
-    for idx, (q, *_) in enumerate(runs):
+    for idx, q in enumerate(table.q_b):
         y = 14.0 + 14.0 * idx
         ET.SubElement(
             svg, "rect", x=_fmt(WIDTH - 150.0), y=_fmt(y - 8.0),

@@ -9,9 +9,8 @@ chain per Q, and hold the bits the scalar API gives at each point.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from . import core, herald
@@ -42,6 +41,7 @@ class PowerAxis:
     spacing: str = "log"
 
     def __post_init__(self) -> None:
+        core.store_floats(self, "min_w", "max_w")
         if self.spacing not in ("linear", "log"):
             raise DomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if not (math.isfinite(self.min_w) and math.isfinite(self.max_w)):
@@ -131,6 +131,7 @@ class SweepSpec:
         if len(set(q_axis)) < len(q_axis):
             raise DomainError(f"q_axis values must be distinct, got {q_axis}")
         object.__setattr__(self, "q_axis", q_axis)
+        core.store_floats(self, "pump_detuning")
         allowed = {"efficiency", "cooperativity", "infidelity"}
         unknown = set(self.outputs) - allowed
         if unknown:
@@ -143,31 +144,21 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """A sweep's results, one list of floats per column, sorted by Q_b,
-    then power; ``infidelity`` is None unless requested. ``len`` counts
-    the rows."""
+    """A sweep's results: the power grid and its n_p once, the ascending
+    Q_b values, and one list per Q_b of each result, so ``eta[k][i]`` is at
+    ``q_b[k]`` and ``pump_power_w[i]``; ``infidelity`` is None unless
+    requested. ``len`` counts the rows, one per (Q_b, power) pair."""
 
     pump_power_w: list[float]
     q_b: list[float]
     n_p: list[float]
-    cooperativity: list[float]
-    eta_i: list[float]
-    eta: list[float]
-    infidelity: list[float] | None = None
-
-    def columns(self) -> tuple:
-        return tuple(getattr(self, field.name) for field in fields(self))
-
-    def runs(self):
-        """(Q_b, start, stop) of each run of rows that share a Q_b."""
-        start = 0
-        for q_b, run in itertools.groupby(self.q_b):
-            stop = start + len(list(run))
-            yield q_b, start, stop
-            start = stop
+    cooperativity: list[list[float]]
+    eta_i: list[list[float]]
+    eta: list[list[float]]
+    infidelity: list[list[float]] | None = None
 
     def __len__(self) -> int:
-        return len(self.pump_power_w)
+        return len(self.pump_power_w) * len(self.q_b)
 
 
 def retune_microwave_q(cfg: TransducerConfig, q_b: float) -> TransducerConfig:
@@ -232,13 +223,9 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         n_p = core.photon_number(spec.config.mode_p, powers, spec.pump_detuning)
     per_q = [_columns(retune_microwave_q(spec.config, q_b), powers, n_p, q_b, options)
              for q_b in q_axis]
-    c, eta_i, eta, infidelity = (
-        None if parts[0] is None else list(itertools.chain.from_iterable(parts))
-        for parts in zip(*per_q)
-    )
-    q_b = [q for q in q_axis for _ in range(len(powers))]
-    return SweepTable(powers.tolist() * len(q_axis), q_b, n_p.tolist() * len(q_axis), c,
-                      eta_i, eta, infidelity)
+    c, eta_i, eta, infidelity = (None if parts[0] is None else list(parts)
+                                 for parts in zip(*per_q))
+    return SweepTable(powers.tolist(), q_axis, n_p.tolist(), c, eta_i, eta, infidelity)
 
 
 def _golden_section_max(f, lo: float, hi: float):

@@ -248,7 +248,11 @@ class TestSweepCommand:
             herald_options=options,
         )
         table = run_sweep(spec)
-        rows = list(zip(*(column or [None] * len(table) for column in table.columns())))
+        rows = [(power, q_b, n_p, table.cooperativity[k][i], table.eta_i[k][i], table.eta[k][i],
+                 None if table.infidelity is None else table.infidelity[k][i])
+                for k, q_b in enumerate(table.q_b)
+                for i, (power, n_p) in enumerate(zip(table.pump_power_w, table.n_p))]
+        assert len(rows) == len(table)
         names = SWEEP_HEADER.split(",")
         csv = [SWEEP_HEADER] + [",".join("" if v is None else repr(v) for v in row)
                                 for row in rows]
@@ -528,6 +532,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert str(plot) in captured.err
+        assert sorted(os.listdir(tmp_path)) == ["run.ini"]
+
+    @pytest.mark.parametrize("plot", ["out.csv", "./out.csv"])
+    def test_table_and_plot_on_one_path_exit_2(self, tmp_path, monkeypatch, capsys, plot):
+        # both staged files would be renamed onto one path, the table lost
+        text = SHIPPED_FIXTURE.read_text().replace("[output]\n", "[output]\ntable = out.csv\n")
+        cfg = write_config(tmp_path, text)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["sweep", "--config", cfg, "--plot", plot]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert plot in captured.err
         assert sorted(os.listdir(tmp_path)) == ["run.ini"]
 
     def test_outputs_replace_files_with_the_mode_open_gives(self, tmp_path):

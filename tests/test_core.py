@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
 import numpy as np
@@ -9,10 +10,14 @@ from xduce import (
     HBAR,
     DomainError,
     DriveCondition,
+    HeraldModel,
     Mode,
     NoCriticalPointError,
+    Scheme,
     TransducerConfig,
     UndriveablePumpError,
+    blue_breakdown,
+    build_linearized,
     conversion_efficiency,
     cooperativity,
     critical_photon_number,
@@ -20,9 +25,15 @@ from xduce import (
     internal_efficiency,
     intracavity_photon_number,
     kappa_to_lifetime,
+    parametric_threshold,
     q_to_kappa,
+    red_breakdown,
+    scattering_at,
 )
+from xduce.config import load_config
 from conftest import TWO_PI, make_device
+
+SHIPPED_FIXTURE = Path(__file__).resolve().parent.parent / "configs" / "device.ini"
 
 
 class TestModeInvariants:
@@ -293,6 +304,40 @@ def test_drive_condition_validation():
         DriveCondition(pump_power=-1.0)
     with pytest.raises(DomainError):
         DriveCondition(pump_power=1.0, pump_detuning=math.nan)
+
+
+def test_float32_inputs_give_float64_results():
+    # NumPy float32 fields are stored as floats, so the results are the
+    # float64 ones of the widened inputs, not float32 (NEP 50)
+    run = load_config(str(SHIPPED_FIXTURE))
+    device, drive = run.transducer, run.drive
+    herald_model = run.herald.model_at(device, drive)
+
+    def results(cast):
+        modes = [Mode(m.label, cast(m.omega), cast(m.kappa_i), cast(m.kappa_ex))
+                 for m in (device.mode_a, device.mode_b, device.mode_p)]
+        cfg = TransducerConfig(*modes, g_eo=cast(device.g_eo))
+        at = DriveCondition(cast(drive.pump_power), cast(drive.pump_detuning), drive.scheme)
+        n_p = intracavity_photon_number(cfg.mode_p, at)
+        efficiency = conversion_efficiency(cfg, n_p)
+        blue, red = (HeraldModel(cast(herald_model.r0), cast(herald_model.dt), scheme)
+                     for scheme in (Scheme.BLUE, Scheme.RED))
+        blue_bd, red_bd = blue_breakdown(blue), red_breakdown(red)
+        return [
+            n_p, cooperativity(cfg, n_p), efficiency.extraction_a, efficiency.extraction_b,
+            efficiency.cooperativity, efficiency.eta_i, efficiency.eta,
+            critical_photon_number(cfg), critical_pump_power(cfg, at.pump_detuning),
+            scattering_at(build_linearized(cfg, n_p, Scheme.RED), 0.0).conversion,
+            parametric_threshold(build_linearized(cfg, n_p, Scheme.BLUE)),
+            blue.mu, blue_bd.p0, blue_bd.p1, blue_bd.p11, blue_bd.pmn, blue_bd.infidelity,
+            red.mu, red_bd.p0, red_bd.p11, red_bd.infidelity,
+        ]
+
+    narrow = results(np.float32)
+    widened = results(lambda x: float(np.float32(x)))
+    assert [type(value) for value in narrow] == [float] * len(narrow)
+    assert narrow == widened
+    assert list(map(repr, narrow)) == list(map(repr, widened))
 
 
 def test_all_lists_exactly_the_public_names():

@@ -89,6 +89,20 @@ class TestSweepSpec:
         assert all(type(q) is float for q in spec.q_axis)
         assert {repr(q_b) for q_b in run_sweep(spec).q_b} == {"9000000.0", "90000000.0"}
 
+    @pytest.mark.parametrize("low, spacing", [(1e-7, "log"), (0.0, "linear")])
+    def test_float32_bounds_and_detuning_give_a_float64_table(self, device, low, spacing):
+        def table(cast):
+            return run_sweep(SweepSpec(
+                config=device,
+                power_axis=PowerAxis(cast(low), cast(1e-3), points=9, spacing=spacing),
+                q_axis=(9e6, 9e7),
+                pump_detuning=cast(3e7),
+            ))
+
+        narrow, widened = table(np.float32), table(lambda x: float(np.float32(x)))
+        assert narrow == widened
+        assert repr(narrow) == repr(widened)
+
 
 class TestRetune:
     def test_sets_total_q_and_keeps_split(self, device):
@@ -116,9 +130,21 @@ class TestRunSweep:
         n_p = intracavity_photon_number(cfg.mode_p, DriveCondition(pump_power=2e-5))
         breakdown = conversion_efficiency(cfg, n_p)
         assert table.n_p[0] == n_p
-        assert table.cooperativity[0] == breakdown.cooperativity
-        assert table.eta[0] == breakdown.eta
+        assert table.cooperativity[0][0] == breakdown.cooperativity
+        assert table.eta[0][0] == breakdown.eta
         assert table.infidelity is None
+
+    def test_len_counts_rows(self, device):
+        # a non-square grid with several Q, so rows and grid points differ
+        spec = SweepSpec(
+            config=device,
+            power_axis=PowerAxis(1e-7, 1e-3, points=7, spacing="log"),
+            q_axis=(9e7, 9e6, 3e7),
+        )
+        table = run_sweep(spec)
+        assert len(table) == 7 * 3
+        assert len(table.pump_power_w) == len(table.n_p) == 7
+        assert len(table.q_b) == len(table.cooperativity) == len(table.eta) == 3
 
     def test_rows_ordered_and_finite(self, device):
         spec = SweepSpec(
@@ -127,9 +153,11 @@ class TestRunSweep:
             q_axis=(9e7, 9e6),
         )
         table = run_sweep(spec)
-        keys = list(zip(table.q_b, table.pump_power_w))
-        assert keys == sorted(keys)
-        assert all(map(math.isfinite, table.n_p)) and all(map(math.isfinite, table.eta))
+        assert table.q_b == [9e6, 9e7]
+        assert table.pump_power_w == sorted(table.pump_power_w)
+        assert [len(curve) for curve in table.eta] == [25, 25]
+        assert all(map(math.isfinite, table.n_p))
+        assert all(math.isfinite(eta) for curve in table.eta for eta in curve)
 
     def test_peak_power_matches_closed_form_within_grid_step(self, device):
         points = 400
@@ -140,9 +168,9 @@ class TestRunSweep:
         )
         table = run_sweep(spec)
         step = (1e-2 / 1e-7) ** (1.0 / (points - 1))
-        for q_b in (9e6, 9e7):
-            per_q = [i for i, q in enumerate(table.q_b) if q == q_b]
-            best = max(per_q, key=table.eta.__getitem__)
+        assert table.q_b == [9e6, 9e7]
+        for q_b, eta in zip(table.q_b, table.eta):
+            best = max(range(points), key=eta.__getitem__)
             p_star = critical_pump_power(retune_microwave_q(device, q_b))
             assert p_star / step <= table.pump_power_w[best] <= p_star * step
 
@@ -155,12 +183,10 @@ class TestRunSweep:
         )
         table = run_sweep(spec)
         step = (1e-2 / 1e-8) ** (1.0 / (points - 1))
-        best = {
-            q: table.pump_power_w[max((i for i, q_b in enumerate(table.q_b) if q_b == q),
-                                      key=table.eta.__getitem__)]
-            for q in (9e6, 9e7)
-        }
-        ratio = best[9e7] / best[9e6]
+        assert table.q_b == [9e6, 9e7]
+        low, high = (table.pump_power_w[max(range(points), key=eta.__getitem__)]
+                     for eta in table.eta)
+        ratio = high / low
         assert 0.1 / step <= ratio <= 0.1 * step
 
     def test_bitwise_determinism(self, device):
@@ -181,7 +207,7 @@ class TestRunSweep:
         )
         table = run_sweep(spec)
         p = np.array(table.pump_power_w)
-        c = np.array(table.cooperativity)
+        (c,) = map(np.array, table.cooperativity)
         coeffs = np.polyfit(p / p.max(), c, 1)
         fitted = np.polyval(coeffs, p / p.max())
         assert np.max(np.abs(c - fitted)) <= 1e-9 * np.max(np.abs(c))
@@ -189,8 +215,8 @@ class TestRunSweep:
     def test_tenfold_q_scales_cooperativity(self, device):
         axis = PowerAxis(1e-7, 1e-6, points=10, spacing="log")
         table = run_sweep(SweepSpec(config=device, power_axis=axis, q_axis=(9e6, 9e7)))
-        low = [c for c, q_b in zip(table.cooperativity, table.q_b) if q_b == 9e6]
-        high = [c for c, q_b in zip(table.cooperativity, table.q_b) if q_b == 9e7]
+        assert table.q_b == [9e6, 9e7]
+        low, high = table.cooperativity
         assert len(low) == len(high) == 10
         for c_low, c_high in zip(low, high):
             assert c_high == pytest.approx(10.0 * c_low, rel=1e-13)
@@ -264,7 +290,7 @@ def test_sweep_infidelity_monotone_in_power_at_low_mu(device):
         outputs=("infidelity",),
         herald_options=HeraldOptions(dt=1e-6, r0_mapping="c_kappa_b"),
     )
-    values = run_sweep(spec).infidelity
+    (values,) = run_sweep(spec).infidelity
     mu_max = cooperativity(
         device, intracavity_photon_number(device.mode_p, DriveCondition(1e-3))
     ) * device.mode_b.kappa * 1e-6
@@ -363,9 +389,15 @@ def test_columns_equal_scalar_api_bit_for_bit(spec):
         assert type(info.value) is error
         return
     table = run_sweep(spec)
-    assert len(table) == len(rows)
-    # list equality compares floats with ==; 0.0 == -0.0 is the only
-    # non-identical pair it would accept, so compare reprs too
-    for column, expected in zip(table.columns(), zip(*rows)):
-        assert column == list(expected)
-        assert list(map(repr, column)) == list(map(repr, expected))
+    points = len(table.pump_power_w)
+    assert len(table) == len(rows) == points * len(table.q_b)
+    assert table.q_b == sorted(spec.q_axis)
+    # each Q's rows against the grid and that Q's curves; list equality
+    # compares floats with ==, and 0.0 == -0.0 is the only non-identical
+    # pair it would accept, so compare reprs too
+    for k, q_b in enumerate(table.q_b):
+        columns = (table.pump_power_w, [q_b] * points, table.n_p, table.cooperativity[k],
+                   table.eta_i[k], table.eta[k], table.infidelity[k])
+        for column, expected in zip(columns, zip(*rows[k * points:(k + 1) * points])):
+            assert column == list(expected)
+            assert list(map(repr, column)) == list(map(repr, expected))
