@@ -48,14 +48,13 @@ print(f"swept {len(table)} operating points")
 
 for q_b, eta in zip(table.q_b, table.eta):
     best = max(range(len(eta)), key=eta.__getitem__)
-    cfg = retune_microwave_q(device, q_b)
-    p_star = critical_pump_power(cfg)
-    p_opt, eta_opt = maximize_efficiency(cfg, (p_star / 100, p_star * 100))
+    # the optimum over the swept powers is critical coupling, C = 1, in closed form
+    bracket = (table.pump_power_w[0], table.pump_power_w[-1])
+    p_opt, eta_opt = maximize_efficiency(retune_microwave_q(device, q_b), bracket)
     print(f"Q = {q_b:.1e}:")
     eta_best, p_best = eta[best], table.pump_power_w[best]
-    print(f"  grid peak      : eta = {eta_best:.4f} at P = {p_best:.3e} W")
-    print(f"  golden section : eta = {eta_opt:.4f} at P = {p_opt:.3e} W")
-    print(f"  closed form P* : {p_star:.3e} W")
+    print(f"  grid peak       : eta = {eta_best:.4f} at P = {p_best:.3e} W")
+    print(f"  optimum (C = 1) : eta = {eta_opt:.4f} at P* = {p_opt:.3e} W")
 
 low, high = spec.q_axis
 p_low = critical_pump_power(retune_microwave_q(device, low))

@@ -31,6 +31,9 @@ from .errors import ConfigError, DomainError, UsageError
 
 VERIFY_TOLERANCE = 1e-9
 VERIFY_PROBES = 32
+# A 1M-trial MC block takes about 17 ms (about 60M trials/s), so the largest
+# `herald --mc` runs for about 17 s, where a mistyped count could run for days.
+MC_SAMPLES_CAP = 10**9
 
 SWEEP_HEADER = "pump_power_w,q_b,n_p,cooperativity,eta_internal,eta,infidelity"
 
@@ -175,6 +178,8 @@ def cmd_herald(run: RunConfig, args) -> int:
         "infidelity": breakdown.infidelity,
     }
     if args.mc is not None:
+        if args.mc > MC_SAMPLES_CAP:
+            raise UsageError(f"--mc takes at most {MC_SAMPLES_CAP} samples, got {args.mc}")
         if not blue:
             raise UsageError("--mc is only supported for the blue scheme")
         seed = args.seed if args.seed is not None else run.seed

@@ -246,6 +246,10 @@ def efficiency_chain(n_p, g_eo_sq: float, kappa_ab: float, extraction_a: float,
     c = 4.0 * n_p * g_eo_sq / kappa_ab
     square = (1.0 + c) * (1.0 + c)
     eta_i = 4.0 * c / square
+    # (1+C)^2 >= 4C, but within about 1e-12 of C = 1 a rounded 1+C can put
+    # 4C/(1+C)^2 an ULP above 1; taking off the excess gives exactly 1 there
+    # and leaves every eta_i <= 1 bit for bit
+    eta_i = eta_i - (eta_i > 1.0) * (eta_i - 1.0)
     return c, square, eta_i, extraction_a * extraction_b * eta_i
 
 
@@ -266,10 +270,11 @@ def internal_efficiency(c: float) -> float:
     critical point and decreasing above it.
     """
     _require_non_negative(c, "C")
-    square = (1.0 + c) * (1.0 + c)
+    # the chain at n_p = C with 4 g_eo^2 = kappa_a kappa_b has this C
+    _, square, eta_i, _ = efficiency_chain(c, 1.0, 4.0, 1.0, 1.0)
     if not math.isfinite(square):
         raise overflow_error(c)
-    return 4.0 * c / square
+    return eta_i
 
 
 def conversion_efficiency(cfg: TransducerConfig, n_p: float) -> EfficiencyBreakdown:

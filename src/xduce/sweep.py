@@ -1,10 +1,10 @@
 """Parameter sweeps over pump power and microwave quality factor.
 
 Produces the tables behind efficiency / cooperativity / infidelity
-versus power curves (one curve per Q) and locates the optimal operating
-power, both by scanning and by golden-section search against the closed
-form. Tables are computed by column, one NumPy pass of the closed-form
-chain per Q, and hold the bits the scalar API gives at each point.
+versus power curves (one curve per Q) and the optimal operating power,
+which is the critical pump power in closed form. Tables are computed by
+column, one NumPy pass of the closed-form chain per Q, and hold the bits
+the scalar API gives at each point.
 """
 
 from __future__ import annotations
@@ -19,11 +19,6 @@ from .errors import BracketingError, DomainError, ModelRegimeError
 
 if TYPE_CHECKING:
     import numpy as np
-
-# Golden-section interval shrink factor per iteration.
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_MAX_ITER = 80
-_GOLDEN_RTOL = 1e-9
 
 # Log-spaced grids default to this density when no point count is given,
 # up to the cap, which also bounds an explicit count on either spacing.
@@ -228,56 +223,26 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     return SweepTable(powers.tolist(), q_axis, n_p.tolist(), c, eta_i, eta, infidelity)
 
 
-def _golden_section_max(f, lo: float, hi: float):
-    """Golden-section maximum of a unimodal f on [lo, hi].
-
-    Returns (x, f(x), iterations). The interval shrinks by the inverse
-    golden ratio each iteration, so 80 iterations cover bracket ratios
-    far beyond 1e6 at 1e-9 relative tolerance.
-    """
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    iterations = 0
-    while (b - a) > _GOLDEN_RTOL * (abs(a) + abs(b)) / 2.0 and iterations < _GOLDEN_MAX_ITER:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        iterations += 1
-    x = (a + b) / 2.0
-    return x, f(x), iterations
-
-
 def maximize_efficiency(
     cfg: TransducerConfig,
     power_bracket: tuple[float, float],
     pump_detuning: float = 0.0,
 ) -> tuple[float, float]:
-    """Locate the power maximizing the conversion efficiency.
+    """The power maximizing the conversion efficiency, and eta there.
 
-    eta(P) is unimodal with its peak at the critical power, so a
-    golden-section search converges unconditionally once the bracket
-    contains the peak. The bracket is validated by the sign of the
-    finite-difference slope at each endpoint.
+    C is linear in the power, so eta(P) peaks exactly at critical coupling,
+    C = 1: the optimum is :func:`core.critical_pump_power`. Raises
+    :class:`BracketingError` for an invalid bracket or one whose open
+    interval does not hold that power. A device with no optimum raises the
+    critical power's own error: :class:`NoCriticalPointError` for g_eo = 0,
+    :class:`UndriveablePumpError` for a pump with kappa_ex = 0.
     """
     lo, hi = power_bracket
     if not (0.0 <= lo < hi):
         raise BracketingError(f"invalid bracket {power_bracket!r}")
-
-    def eta_at(power: float) -> float:
-        n_p = core.photon_number(cfg.mode_p, power, pump_detuning)
-        return core.conversion_efficiency(cfg, n_p).eta
-
-    h = (hi - lo) * 1e-7
-    if eta_at(lo + h) - eta_at(lo) <= 0.0:
-        raise BracketingError("eta is not increasing at the lower bracket endpoint")
-    if eta_at(hi) - eta_at(hi - h) >= 0.0:
-        raise BracketingError("eta is not decreasing at the upper bracket endpoint")
-    p_opt, eta_opt, _ = _golden_section_max(eta_at, lo, hi)
-    return p_opt, eta_opt
+    p_opt = core.critical_pump_power(cfg, pump_detuning)
+    if not lo < p_opt < hi:
+        raise BracketingError(f"the optimum P* = {p_opt!r} W is outside the bracket "
+                              f"{power_bracket!r}")
+    n_p = core.photon_number(cfg.mode_p, p_opt, pump_detuning)
+    return p_opt, core.conversion_efficiency(cfg, n_p).eta

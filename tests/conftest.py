@@ -6,6 +6,38 @@ from xduce import Mode, TransducerConfig
 
 TWO_PI = 2.0 * math.pi
 
+# Golden-section interval shrink factor per iteration.
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_MAX_ITER = 80
+GOLDEN_RTOL = 1e-9
+
+
+def golden_section_max(f, lo: float, hi: float):
+    """Golden-section maximum of a unimodal f on [lo, hi]: an independent
+    search that cross-checks the closed-form optimum.
+
+    Returns (x, f(x), iterations). The interval shrinks by the inverse
+    golden ratio each iteration, so 80 iterations cover bracket ratios
+    far beyond 1e6 at 1e-9 relative tolerance.
+    """
+    a, b = lo, hi
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    iterations = 0
+    while (b - a) > GOLDEN_RTOL * (abs(a) + abs(b)) / 2.0 and iterations < GOLDEN_MAX_ITER:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + INVPHI * (b - a)
+            fd = f(d)
+        iterations += 1
+    x = (a + b) / 2.0
+    return x, f(x), iterations
+
 
 def make_device(
     kappa_a_i=TWO_PI * 10e6,

@@ -32,7 +32,7 @@ from xduce import (
     storage_loss_infidelity,
 )
 from xduce.cli import run_cli
-from conftest import TWO_PI, make_device
+from conftest import TWO_PI, golden_section_max, make_device
 
 HERE = Path(__file__).resolve().parent
 SHIPPED_FIXTURE = HERE.parent / "configs" / "device.ini"
@@ -117,8 +117,12 @@ def test_criterion_4_peak_shift_with_q():
     for factor in (1.0, 10.0):
         cfg = retune_microwave_q(base, factor * q_b)
         p_star = critical_pump_power(cfg)
-        p_opt, _ = maximize_efficiency(cfg, (p_star / 100.0, p_star * 100.0))
-        assert p_opt == pytest.approx(p_star, rel=1e-6)
+        bracket = (p_star / 100.0, p_star * 100.0)
+        p_opt, _ = maximize_efficiency(cfg, bracket)
+        # an independent search over eta(P) must find the same optimum
+        p_search, _, _ = golden_section_max(lambda power: conversion_efficiency(
+            cfg, intracavity_photon_number(cfg.mode_p, DriveCondition(power))).eta, *bracket)
+        assert p_opt == pytest.approx(p_search, rel=1e-6)
         ratios.append(p_opt)
     ratio = ratios[1] / ratios[0]
     assert ratio == pytest.approx(0.1, rel=1e-6)

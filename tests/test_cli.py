@@ -30,7 +30,8 @@ from xduce import (
     retune_microwave_q,
     scattering_at,
 )
-from xduce.cli import _sweep_lines, build_parser, run_cli
+from xduce import herald
+from xduce.cli import MC_SAMPLES_CAP, _sweep_lines, build_parser, run_cli
 from xduce.config import load_config
 from xduce.sweep import HeraldOptions, PowerAxis, SweepSpec, run_sweep
 
@@ -354,6 +355,28 @@ class TestHeraldCommand:
         assert record["infidelity"] > 0.0
         # z = 1 Wilson half-width at zero successes in n trials is 1 / (2 (n + 1))
         assert record["mc_gap_sigma"] == pytest.approx(record["infidelity"] * 2.0 * 1001.0)
+
+    @pytest.mark.parametrize("samples", [str(MC_SAMPLES_CAP + 1), "10000000000000"])
+    def test_mc_over_cap_exits_5_before_drawing(self, tmp_path, capsys, monkeypatch, samples):
+        def no_draw(*args):
+            raise AssertionError("an MC block was drawn")
+
+        monkeypatch.setattr(herald, "_block_error_count", no_draw)
+        cfg = self._blue_config(tmp_path)
+        assert run_cli(["herald", "--config", cfg, "--mc", samples]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"at most {MC_SAMPLES_CAP}" in captured.err
+
+    def test_mc_at_cap_is_drawn(self, tmp_path, capsys, monkeypatch):
+        # the benchmark's cold calls use --mc 1000000; the cap is inclusive
+        assert MC_SAMPLES_CAP >= 1_000_000
+        blocks = []
+        monkeypatch.setattr(herald, "_block_error_count", lambda *args: blocks.append(args) or 0)
+        cfg = self._blue_config(tmp_path)
+        assert run_cli(["herald", "--config", cfg, "--mc", str(MC_SAMPLES_CAP)]) == 0
+        assert sum(args[2] for args in blocks) == MC_SAMPLES_CAP
+        assert float(parse_single_record(capsys.readouterr().out)["mc_infidelity"]) == 0.0
 
     def test_red_with_mc_unsupported(self, capsys):
         rc = run_cli(["herald", "--config", str(SHIPPED_FIXTURE), "--mc", "1000"])
@@ -859,12 +882,13 @@ def test_hostile_config_keeps_the_exit_code_contract(changes, scheme, mapping):
 
 
 # Every flag a subcommand may be given, with valid and invalid values; None
-# marks a flag that takes no value. --mc and --probes stay small so no
-# example runs long.
+# marks a flag that takes no value. --mc and --probes stay small, or --mc is
+# over its cap and refused before any block is drawn, so no example runs long.
 ARGV_VALUES = {
     "--format": st.sampled_from(("csv", "jsonl", "xml", "")),
     "--plot": st.sampled_from(("plot.svg", os.path.join("missing", "plot.svg"))),
-    "--mc": st.one_of(st.sampled_from(("-1", "0", "1", "many", "1e3")),
+    "--mc": st.one_of(st.sampled_from(("-1", "0", "1", "many", "1e3",
+                                       str(MC_SAMPLES_CAP + 1), "10000000000000")),
                       st.integers(2, 20000).map(str)),
     "--seed": st.sampled_from(("-1", "0", "1", str(2**200), "seven", "1.5")),
     "--probes": st.one_of(st.sampled_from(("-1", "0", "1", "all", "2.5")),

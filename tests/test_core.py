@@ -189,6 +189,11 @@ class TestInternalEfficiency:
         with pytest.raises(DomainError):
             internal_efficiency(-0.1)
 
+    def test_at_most_one_next_to_critical(self):
+        # a rounded 1 + C puts 4C/(1+C)^2 an ULP above 1 for a quarter of these
+        for k in range(-2000, 2001):
+            assert internal_efficiency(1.0 + k * 2.0**-53) <= 1.0
+
     def test_overflowing_square_is_a_domain_error(self):
         # (1 + C)**2 overflows a double above C ~ 1.34e154
         assert internal_efficiency(1e154) == 4.0 * 1e154 / (1.0 + 1e154) ** 2

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xduce import (
@@ -14,10 +14,12 @@ from xduce import (
     HeraldOptions,
     ModelRegimeError,
     Mode,
+    NoCriticalPointError,
     PowerAxis,
     Scheme,
     SweepSpec,
     TransducerConfig,
+    UndriveablePumpError,
     blue_breakdown,
     conversion_efficiency,
     cooperativity,
@@ -27,13 +29,12 @@ from xduce import (
     retune_microwave_q,
     run_sweep,
 )
-from xduce.sweep import _golden_section_max
-from conftest import make_device
+from conftest import TWO_PI, golden_section_max, make_device
 
 
-def eta_of_power(cfg, power):
-    n_p = intracavity_photon_number(cfg.mode_p, DriveCondition(pump_power=power))
-    return conversion_efficiency(cfg, n_p).eta
+def eta_of_power(cfg, power, pump_detuning=0.0):
+    drive = DriveCondition(pump_power=power, pump_detuning=pump_detuning)
+    return conversion_efficiency(cfg, intracavity_photon_number(cfg.mode_p, drive)).eta
 
 
 class TestPowerAxis:
@@ -255,6 +256,15 @@ class TestMaximizeEfficiency:
         _, eta_opt = maximize_efficiency(cfg, (p_star / 10.0, p_star * 10.0))
         assert eta_opt == pytest.approx(1.0, abs=1e-9)
 
+    def test_lossless_optimum_is_at_most_one(self):
+        # at P*, C is within a few ULPs of 1, where 4C/(1+C)^2 can round above 1
+        lossless = make_device(kappa_a_i=0.0, kappa_b_i=0.0)
+        for q_b in np.geomspace(1e4, 1e8, 200).tolist():
+            cfg = retune_microwave_q(lossless, q_b)
+            p_star = critical_pump_power(cfg)
+            _, eta_opt = maximize_efficiency(cfg, (p_star / 2.0, p_star * 2.0))
+            assert 1.0 - 1e-15 < eta_opt <= 1.0
+
     def test_beats_random_probes(self, device):
         p_star = critical_pump_power(device)
         bracket = (p_star / 50.0, p_star * 50.0)
@@ -276,9 +286,20 @@ class TestMaximizeEfficiency:
         def eta_at(power):
             return eta_of_power(device, power)
 
-        x, _, iterations = _golden_section_max(eta_at, p_star * 1e-3, p_star * 1e3)
+        x, _, iterations = golden_section_max(eta_at, p_star * 1e-3, p_star * 1e3)
         assert iterations <= 80
         assert x == pytest.approx(p_star, rel=1e-6)
+
+    def test_no_coupling_has_no_optimum(self):
+        cfg = make_device(g_eo=0.0)
+        with pytest.raises(NoCriticalPointError):
+            maximize_efficiency(cfg, (1e-9, 1.0))
+
+    def test_undriveable_pump_has_no_optimum(self, device):
+        pump = Mode("p", device.mode_p.omega, device.mode_p.kappa, 0.0)
+        cfg = TransducerConfig(device.mode_a, device.mode_b, pump, device.g_eo)
+        with pytest.raises(UndriveablePumpError):
+            maximize_efficiency(cfg, (1e-9, 1.0))
 
 
 def test_sweep_infidelity_monotone_in_power_at_low_mu(device):
@@ -401,3 +422,49 @@ def test_columns_equal_scalar_api_bit_for_bit(spec):
         for column, expected in zip(columns, zip(*rows[k * points:(k + 1) * points])):
             assert column == list(expected)
             assert list(map(repr, column)) == list(map(repr, expected))
+
+
+@st.composite
+def optimum_cases(draw):
+    """A device, a pump detuning (zero in half the draws) and a bracket:
+    its ends lie within a factor 1e3 of the critical power, on either side
+    of it or on it, and the lower end is 0 in a tenth of the draws."""
+    def mode(label, omega, kappa):
+        frac = draw(st.floats(0.01, 1.0))
+        return Mode(label, omega, kappa * (1.0 - frac), kappa * frac)
+
+    kappa_p = draw(_log_float(6.0, 9.0))
+    cfg = TransducerConfig(
+        mode_a=mode("a", 1.2e15, draw(_log_float(2.0, 10.0))),
+        mode_b=mode("b", 5.7e10, draw(_log_float(-1.0, 6.0))),
+        mode_p=mode("p", 1.2e15, kappa_p),
+        g_eo=TWO_PI * draw(_log_float(0.0, 3.0)),
+    )
+    detuning = 0.0
+    if draw(st.booleans()):
+        detuning = draw(st.sampled_from((-1.0, 1.0))) * kappa_p * draw(_log_float(-2.0, 1.0))
+    p_star = critical_pump_power(cfg, detuning)
+    lo = p_star * 10.0**draw(st.floats(-3.0, 0.5))
+    hi = p_star * 10.0**draw(st.floats(-0.5, 3.0))
+    assume(lo < hi)
+    return cfg, detuning, (0.0 if draw(st.integers(0, 9)) == 0 else lo, hi)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(optimum_cases())
+def test_optimum_is_the_critical_power(case):
+    cfg, detuning, (lo, hi) = case
+    p_star = critical_pump_power(cfg, detuning)
+    if not lo < p_star < hi:
+        with pytest.raises(BracketingError):
+            maximize_efficiency(cfg, (lo, hi), detuning)
+        return
+    p_opt, eta_opt = maximize_efficiency(cfg, (lo, hi), detuning)
+    assert p_opt == p_star
+    assert eta_opt == eta_of_power(cfg, p_star, detuning)
+    assert 0.0 < eta_opt <= 1.0
+    x, eta_search, _ = golden_section_max(lambda p: eta_of_power(cfg, p, detuning), lo, hi)
+    assert x == pytest.approx(p_star, rel=1e-6)
+    # on the flat peak, eta at the exact P* can round 1-3 ULPs below the
+    # search's best eta
+    assert eta_opt >= eta_search - 4 * math.ulp(eta_search)
