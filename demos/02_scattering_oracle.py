@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Steady-state scattering as an independent check on the closed forms.
 
-The linearized two-mode system is solved frequency by frequency. On
-resonance the red-detuned conversion must reproduce the closed-form
-efficiency; off resonance it traces the conversion bandwidth. The
-blue-detuned system instead has a parametric instability at C = 1,
-located here from the determinant root.
+The linearized two-mode system, at triple resonance, is solved probe
+offset by probe offset. On resonance the red-detuned conversion must
+reproduce the closed-form efficiency; off resonance it traces the
+conversion bandwidth. The blue-detuned system instead has a parametric
+instability at C = 1, where the on-resonance determinant
+(kappa_a/2)(kappa_b/2) - G^2 changes sign.
 """
 
 import math

@@ -38,21 +38,25 @@ def store_floats(obj, *names: str) -> None:
         object.__setattr__(obj, name, float(getattr(obj, name)))
 
 
-def _require_finite(value: float, name: str) -> None:
+# The checks return the value as a Python float; callers rebind their
+# argument to it, so NumPy scalars give float64 results, as store_floats does
+# for dataclass fields.
+def _require_finite(value: float, name: str) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
-def _require_positive(value: float, name: str) -> None:
-    _require_finite(value, name)
-    if value <= 0.0:
+def _require_positive(value: float, name: str) -> float:
+    if _require_finite(value, name) <= 0.0:
         raise DomainError(f"{name} must be positive, got {value!r}")
+    return float(value)
 
 
-def _require_non_negative(value: float, name: str) -> None:
-    _require_finite(value, name)
-    if value < 0.0:
+def _require_non_negative(value: float, name: str) -> float:
+    if _require_finite(value, name) < 0.0:
         raise DomainError(f"{name} must be non-negative, got {value!r}")
+    return float(value)
 
 
 class Scheme(Enum):
@@ -175,14 +179,14 @@ def q_to_kappa(omega: float, q: float) -> float:
     Both arguments must be positive; ``omega`` is angular (rad/s) and the
     result is too.
     """
-    _require_positive(omega, "omega")
-    _require_positive(q, "Q")
+    omega = _require_positive(omega, "omega")
+    q = _require_positive(q, "Q")
     return omega / q
 
 
 def kappa_to_lifetime(kappa: float) -> float:
     """Photon lifetime 1/kappa in seconds for a decay rate in rad/s."""
-    _require_positive(kappa, "kappa")
+    kappa = _require_positive(kappa, "kappa")
     return 1.0 / kappa
 
 
@@ -194,6 +198,7 @@ def overflow_error(c: float) -> DomainError:
 def _pump_buildup(mode_p: Mode, pump_detuning: float) -> float:
     kp = mode_p.kappa
     try:
+        pump_detuning = float(pump_detuning)
         buildup = HBAR * mode_p.omega * ((kp / 2.0) ** 2 + pump_detuning**2)
     except OverflowError:
         raise DomainError(
@@ -259,7 +264,7 @@ def cooperativity(cfg: TransducerConfig, n_p: float) -> float:
     C compares the pump-enhanced coherent coupling to the dissipation of
     the two converted modes; C = 1 is the critical-coupling point.
     """
-    _require_non_negative(n_p, "n_p")
+    n_p = _require_non_negative(n_p, "n_p")
     return efficiency_chain(n_p, *_coupling(cfg), 1.0, 1.0)[0]
 
 
@@ -269,7 +274,7 @@ def internal_efficiency(c: float) -> float:
     Bounded by 1, with equality exactly at C = 1; increasing below the
     critical point and decreasing above it.
     """
-    _require_non_negative(c, "C")
+    c = _require_non_negative(c, "C")
     # the chain at n_p = C with 4 g_eo^2 = kappa_a kappa_b has this C
     _, square, eta_i, _ = efficiency_chain(c, 1.0, 4.0, 1.0, 1.0)
     if not math.isfinite(square):
@@ -285,7 +290,7 @@ def conversion_efficiency(cfg: TransducerConfig, n_p: float) -> EfficiencyBreakd
     losses. eta is the success probability of the transduction process and
     lies in [0, 1].
     """
-    _require_non_negative(n_p, "n_p")
+    n_p = _require_non_negative(n_p, "n_p")
     g_eo_sq, kappa_ab, ex_a, ex_b = chain_scalars(cfg)
     c, square, eta_i, eta = efficiency_chain(n_p, g_eo_sq, kappa_ab, ex_a, ex_b)
     if not math.isfinite(square):

@@ -151,7 +151,7 @@ def storage_loss_infidelity(kappa_b_i: float, hold_time: float) -> float:
         raise DomainError(f"kappa_b_i must be finite and non-negative, got {kappa_b_i!r}")
     if not (math.isfinite(hold_time) and hold_time >= 0.0):
         raise DomainError(f"hold_time must be finite and non-negative, got {hold_time!r}")
-    return -math.expm1(-kappa_b_i * hold_time)
+    return -math.expm1(-float(kappa_b_i) * float(hold_time))
 
 
 def _block_error_count(seed: int, block: int, n: int, f0: float, f1: float) -> int:

@@ -1,12 +1,14 @@
 """Steady-state input-output solver used as an independent numerical oracle.
 
 The driven pump is absorbed into an effective coupling G = g_eo * sqrt(n_p)
-between the signal mode ``a`` and the microwave mode ``b``. In the rotating
+between the signal mode ``a`` and the microwave mode ``b``. The oracle
+works at triple resonance only: the pump sits on its resonance and both
+carriers on theirs, so there are no carrier detunings. In the rotating
 frame of the carriers the linear steady state at probe offset ``omega`` is
 a 2x2 complex system M x = s_in with
 
-    red (beam splitter):      M = [[i(da - w) + ka/2,  iG],
-                                   [iG,  i(db - w) + kb/2]]
+    red (beam splitter):      M = [[ka/2 - iw,  iG],
+                                   [iG,  kb/2 - iw]]
 
     blue (two-mode squeezing): same diagonal, off-diagonal [iG, -iG]
     because the microwave row is written for the conjugate mode.
@@ -19,7 +21,8 @@ point of this module and is enforced by the test suite to 1e-9 relative.
 
 The 2x2 solve uses the explicit inverse with a residual check: at this
 size conditioning is trivial and the residual guards sign conventions.
-Stability and the blue threshold follow from the trace and determinant.
+Blue stability and the threshold follow from the sign of det M(0) =
+(ka/2)(kb/2) - G^2.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import Scheme, TransducerConfig
+from .core import Scheme, TransducerConfig, store_floats
 from .errors import DomainError, InstabilityError, UsageError
 
 # Residual tolerance of the closed-form 2x2 solve, relative to the data.
@@ -39,10 +42,9 @@ _RESIDUAL_RTOL = 1e-10
 class LinearizedSystem:
     """Pump-linearized two-mode system.
 
-    ``g_eff`` is the effective coupling G = g_eo * sqrt(n_p), rad/s.
-    Detunings are measured from the respective carriers and default to the
-    triple-resonance condition (both zero). Loss rates are carried split so
-    the input-output ports are well defined.
+    ``g_eff`` is the effective coupling G = g_eo * sqrt(n_p), rad/s, at
+    triple resonance. Loss rates are carried split so the input-output
+    ports are well defined.
     """
 
     g_eff: float
@@ -51,10 +53,9 @@ class LinearizedSystem:
     kappa_b_i: float
     kappa_b_ex: float
     scheme: Scheme
-    detuning_a: float = 0.0
-    detuning_b: float = 0.0
 
     def __post_init__(self) -> None:
+        store_floats(self, "g_eff", "kappa_a_i", "kappa_a_ex", "kappa_b_i", "kappa_b_ex")
         if self.g_eff < 0.0 or not math.isfinite(self.g_eff):
             raise DomainError(f"g_eff must be finite and non-negative, got {self.g_eff!r}")
         if self.kappa_a <= 0.0 or self.kappa_b <= 0.0:
@@ -89,7 +90,7 @@ def build_linearized(
 ) -> LinearizedSystem:
     """Linearize a transducer at a given pump photon number.
 
-    G = g_eo * sqrt(n_p); detunings default to zero (triple resonance).
+    G = g_eo * sqrt(n_p), at triple resonance.
     """
     if n_p < 0.0:
         raise DomainError(f"n_p must be non-negative, got {n_p!r}")
@@ -101,15 +102,6 @@ def build_linearized(
         kappa_b_ex=cfg.mode_b.kappa_ex,
         scheme=scheme,
     )
-
-
-def _system_matrix(sys: LinearizedSystem, omega: float):
-    """Entries m11, m12, m21, m22 of M at probe offset omega."""
-    m11 = 1j * (sys.detuning_a - omega) + sys.kappa_a / 2.0
-    m22 = 1j * (sys.detuning_b - omega) + sys.kappa_b / 2.0
-    if sys.scheme is Scheme.RED:
-        return m11, 1j * sys.g_eff, 1j * sys.g_eff, m22
-    return m11, 1j * sys.g_eff, -1j * sys.g_eff, m22
 
 
 def _check_residual(m11, m12, m21, m22, x1, x2, r1, r2) -> None:
@@ -126,23 +118,28 @@ def _check_residual(m11, m12, m21, m22, x1, x2, r1, r2) -> None:
 
 def blue_unstable(sys: LinearizedSystem) -> bool:
     """True when the blue-scheme drift matrix has a non-decaying eigenvalue:
-    the one stability verdict, which :func:`scattering_at` acts on."""
-    m11, m12, m21, m22 = _system_matrix(sys, 0.0)
-    # dx/dt = -K x with M(omega) = K - i*omega*I; stability needs Re eig(K) > 0.
-    # Eigenvalues are half_trace +- root with Re(root) >= 0, so half_trace + root
-    # decays; the other is det / (half_trace + root), free of cancellation.
-    half_trace = (m11 + m22) / 2.0
-    det = m11 * m22 - m12 * m21
-    root = cmath.sqrt(half_trace * half_trace - det)
-    return (det / (half_trace + root)).real <= 0.0
+    the one stability verdict, which :func:`conversion_spectrum` acts on."""
+    # dx/dt = -K x with K = M(0) = [[ka/2, iG], [-iG, kb/2]], whose eigenvalues
+    # are real with a positive sum; the smaller one has the sign of
+    # det K = (ka/2)(kb/2) - G^2. Rounding is monotone, so the comparison can
+    # only err where both sides round equal, and there the solve's det is 0.
+    return sys.g_eff * sys.g_eff >= (sys.kappa_a / 2.0) * (sys.kappa_b / 2.0)
 
 
 def scattering_at(sys: LinearizedSystem, omega: float) -> ScatteringPoint:
-    """Solve the steady state at one probe offset and return cross amplitudes.
+    """:func:`conversion_spectrum` at one probe offset."""
+    return conversion_spectrum(sys, (omega,))[0]
+
+
+def conversion_spectrum(sys: LinearizedSystem, omegas) -> list[ScatteringPoint]:
+    """Solve the steady state at each probe offset and return cross amplitudes.
 
     Raises :class:`InstabilityError` for a blue-scheme system at or beyond
     the parametric threshold, where no steady state exists.
     """
+    omegas = list(omegas)
+    if not omegas:
+        raise UsageError("conversion_spectrum needs at least one probe offset")
     if sys.scheme is Scheme.BLUE and blue_unstable(sys):
         threshold = parametric_threshold(sys)
         raise InstabilityError(
@@ -150,55 +147,48 @@ def scattering_at(sys: LinearizedSystem, omega: float) -> ScatteringPoint:
             f"is at or beyond the parametric threshold C = {threshold:.6g}",
             threshold=threshold,
         )
-    m11, m12, m21, m22 = _system_matrix(sys, omega)
-    det = m11 * m22 - m12 * m21
-    if det == 0 or not cmath.isfinite(det):
-        raise DomainError(f"2x2 steady-state determinant is {det!r}: the loss rates and "
-                          f"coupling are beyond double range")
+    half_a = sys.kappa_a / 2.0
+    half_b = sys.kappa_b / 2.0
+    m12 = 1j * sys.g_eff
+    m21 = m12 if sys.scheme is Scheme.RED else -1j * sys.g_eff
     sqrt_ka = math.sqrt(sys.kappa_a_ex)
     sqrt_kb = math.sqrt(sys.kappa_b_ex)
-    # drive port a with input sqrt(ka_ex): out_b = sqrt(kb_ex) * x_b
-    xa, xb = m22 * sqrt_ka / det, -m21 * sqrt_ka / det
-    _check_residual(m11, m12, m21, m22, xa, xb, sqrt_ka, 0.0)
-    amplitude_ba = sqrt_kb * xb
-    # drive port b with input sqrt(kb_ex): out_a = sqrt(ka_ex) * x_a
-    xa, xb = -m12 * sqrt_kb / det, m11 * sqrt_kb / det
-    _check_residual(m11, m12, m21, m22, xa, xb, 0.0, sqrt_kb)
-    amplitude_ab = sqrt_ka * xa
-    return ScatteringPoint(
-        probe_offset=omega,
-        amplitude_ab=amplitude_ab,
-        amplitude_ba=amplitude_ba,
-        conversion=abs(amplitude_ba) ** 2,
-    )
-
-
-def conversion_spectrum(sys: LinearizedSystem, omegas) -> list[ScatteringPoint]:
-    """Pointwise scattering over a list of probe offsets."""
-    omegas = list(omegas)
-    if not omegas:
-        raise UsageError("conversion_spectrum needs at least one probe offset")
-    return [scattering_at(sys, w) for w in omegas]
+    points = []
+    for omega in omegas:
+        omega = float(omega)
+        # 0.0 - omega, not -omega: a zero offset keeps a +0.0 imaginary part
+        m11 = complex(half_a, 0.0 - omega)
+        m22 = complex(half_b, 0.0 - omega)
+        det = m11 * m22 - m12 * m21
+        if det == 0 or not cmath.isfinite(det):
+            raise DomainError(f"2x2 steady-state determinant is {det!r}: the loss rates and "
+                              f"coupling are beyond double range")
+        # drive port a with input sqrt(ka_ex): out_b = sqrt(kb_ex) * x_b
+        xa, xb = m22 * sqrt_ka / det, -m21 * sqrt_ka / det
+        _check_residual(m11, m12, m21, m22, xa, xb, sqrt_ka, 0.0)
+        amplitude_ba = sqrt_kb * xb
+        # drive port b with input sqrt(kb_ex): out_a = sqrt(ka_ex) * x_a
+        xa, xb = -m12 * sqrt_kb / det, m11 * sqrt_kb / det
+        _check_residual(m11, m12, m21, m22, xa, xb, 0.0, sqrt_kb)
+        amplitude_ab = sqrt_ka * xa
+        points.append(ScatteringPoint(
+            probe_offset=omega,
+            amplitude_ab=amplitude_ab,
+            amplitude_ba=amplitude_ba,
+            conversion=abs(amplitude_ba) ** 2,
+        ))
+    return points
 
 
 def parametric_threshold(sys: LinearizedSystem) -> float:
     """Cooperativity at which the blue steady state turns singular.
 
-    On resonance the determinant with G rescaled by s is m11*m22 - s^2 G^2,
-    so the threshold is C* = 4 m11 m22 / (kappa_a kappa_b) in closed form:
-    exactly 1 at triple resonance, whatever the intrinsic/external splits.
-    Detunings that make m11*m22 complex leave no real root (DomainError).
-    A decoupled system (G = 0) never reaches the threshold: infinity.
+    With G rescaled by s the on-resonance determinant is
+    (kappa_a/2)(kappa_b/2) - s^2 G^2, which vanishes at
+    C = 4 s^2 G^2 / (kappa_a kappa_b) = 1, whatever the loss rates and
+    their intrinsic/external splits. A decoupled system (G = 0) never
+    reaches the threshold: infinity.
     """
     if sys.scheme is not Scheme.BLUE:
         raise UsageError("parametric threshold is defined for the blue scheme only")
-    if sys.g_eff == 0.0:
-        return math.inf
-    m11, _, _, m22 = _system_matrix(sys, 0.0)
-    product = m11 * m22
-    if abs(product.imag) > 1e-9 * abs(product):
-        raise DomainError(
-            "determinant is complex away from triple resonance; "
-            "threshold undefined for detuned systems"
-        )
-    return 4.0 * product.real / (sys.kappa_a * sys.kappa_b)
+    return math.inf if sys.g_eff == 0.0 else 1.0

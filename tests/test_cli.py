@@ -745,12 +745,12 @@ class TestExitCodes:
         assert "^2 overflows" in captured.err
 
 
-def fresh_python(code, *args):
-    """Run ``code`` in a fresh interpreter with the package on its path."""
+def fresh_python(*argv):
+    """Run a fresh interpreter with ``argv`` and the package on its path."""
     src = str(HERE.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
                           text=True, check=False)
 
 
@@ -760,16 +760,23 @@ def test_cli_import_leaves_scipy_unloaded():
     # its config loader must pull in none of them
     code = ("import xduce, xduce.cli, xduce.config, sys; "
             "print([m for m in ('numpy', 'scipy', 'xduce.svgplot') if m in sys.modules])")
-    proc = fresh_python(code)
+    proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_module_run_verifies():
+    # python -m xduce.cli runs the command line like the xduce script does
+    proc = fresh_python("-m", "xduce.cli", "verify", "--config", str(SHIPPED_FIXTURE))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("verification passed\n")
 
 
 @pytest.mark.parametrize("sub", ["efficiency", "herald", "verify"])
 def test_numpy_free_subcommands_leave_numpy_unloaded(sub):
     code = ("import sys; from xduce.cli import run_cli; rc = run_cli(sys.argv[1:]); "
             "print(rc, 'numpy' in sys.modules, file=sys.stderr)")
-    proc = fresh_python(code, sub, "--config", str(SHIPPED_FIXTURE))
+    proc = fresh_python("-c", code, sub, "--config", str(SHIPPED_FIXTURE))
     assert proc.stderr.strip() == "0 False"
     assert proc.stdout
 
@@ -790,7 +797,7 @@ def test_fresh_process_matches_in_process(tmp_path, capsys, argv):
         out_dir.mkdir()
         args = [argv[0], "--config", cfg] + [a.format(tmp=out_dir) for a in argv[1:]]
         if where == "fresh":
-            proc = fresh_python("from xduce.cli import main; main()", *args)
+            proc = fresh_python("-c", "from xduce.cli import main; main()", *args)
             code, out, err = proc.returncode, proc.stdout, proc.stderr
         else:
             code = run_cli(args)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from enum import Enum
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
@@ -11,6 +13,7 @@ from xduce import (
     DomainError,
     DriveCondition,
     HeraldModel,
+    LinearizedSystem,
     Mode,
     NoCriticalPointError,
     Scheme,
@@ -19,16 +22,20 @@ from xduce import (
     blue_breakdown,
     build_linearized,
     conversion_efficiency,
+    conversion_spectrum,
     cooperativity,
     critical_photon_number,
     critical_pump_power,
     internal_efficiency,
     intracavity_photon_number,
     kappa_to_lifetime,
+    maximize_efficiency,
     parametric_threshold,
     q_to_kappa,
     red_breakdown,
+    retune_microwave_q,
     scattering_at,
+    storage_loss_infidelity,
 )
 from xduce.config import load_config
 from conftest import TWO_PI, make_device
@@ -351,3 +358,58 @@ def test_all_lists_exactly_the_public_names():
              if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert len(set(xduce.__all__)) == len(xduce.__all__)
     assert set(xduce.__all__) == bound
+
+
+def _red_system(x):
+    return LinearizedSystem(x(30000), x(20000), x(60000), x(1), x(6000), Scheme.RED)
+
+
+# Each exported function with numeric arguments, called with those arguments
+# cast; the values are integers so that every cast holds them exactly.
+SCALAR_CALLS = {
+    "q_to_kappa": lambda x: q_to_kappa(x(2 * 10**10), x(10**6)),
+    "kappa_to_lifetime": lambda x: kappa_to_lifetime(x(3)),
+    "cooperativity": lambda x: cooperativity(make_device(), x(1000)),
+    "internal_efficiency": lambda x: internal_efficiency(x(3)),
+    "conversion_efficiency": lambda x: conversion_efficiency(make_device(), x(1000)),
+    "critical_pump_power": lambda x: critical_pump_power(make_device(), x(3 * 10**7)),
+    "maximize_efficiency": lambda x: maximize_efficiency(make_device(), (x(0), x(1)),
+                                                         x(3 * 10**7)),
+    "retune_microwave_q": lambda x: retune_microwave_q(make_device(), x(9 * 10**6)),
+    "build_linearized": lambda x: build_linearized(make_device(), x(1000), Scheme.BLUE),
+    "scattering_at": lambda x: scattering_at(_red_system(x), x(10)),
+    "conversion_spectrum": lambda x: conversion_spectrum(_red_system(x), [x(10), x(-20000)]),
+    "parametric_threshold": lambda x: parametric_threshold(
+        LinearizedSystem(x(3), x(2), x(6), x(1), x(5), Scheme.BLUE)),
+    "storage_loss_infidelity": lambda x: storage_loss_infidelity(x(1), x(2)),
+}
+
+
+def _numeric_leaves(value):
+    """The numbers in a result: itself, or its fields and items, recursively."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _numeric_leaves(getattr(value, field.name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _numeric_leaves(item)
+    elif not isinstance(value, (str, Enum)):
+        yield value
+
+
+@pytest.mark.parametrize("cast", [np.float32, np.float64, np.int64, int],
+                         ids=lambda cast: cast.__name__)
+@pytest.mark.parametrize("call", SCALAR_CALLS.values(), ids=SCALAR_CALLS.keys())
+def test_numpy_scalar_arguments_give_python_floats(call, cast):
+    leaves = list(_numeric_leaves(call(cast)))
+    assert leaves
+    assert all(type(leaf) in (float, complex) for leaf in leaves), leaves
+    assert leaves == list(_numeric_leaves(call(lambda v: float(cast(v)))))
+
+
+def test_float32_probe_grid_gives_the_float64_spectrum():
+    sys_ = _red_system(float)
+    grid = np.linspace(-5.0, 5.0, 33, dtype=np.float32) * np.float32(6e4)
+    narrow = conversion_spectrum(sys_, grid)
+    assert narrow == conversion_spectrum(sys_, grid.astype(np.float64))
+    assert repr(narrow) == repr(conversion_spectrum(sys_, grid.tolist()))

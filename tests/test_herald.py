@@ -260,6 +260,11 @@ class TestStorageLoss:
         values_t = [storage_loss_infidelity(1.0, float(t)) for t in times]
         assert all(b > a for a, b in zip(values_t, values_t[1:]))
 
+    def test_float32_inputs_multiply_in_float64(self):
+        rate, hold = np.float32(0.1), np.float32(3.3)
+        widened = storage_loss_infidelity(float(rate), float(hold))
+        assert repr(storage_loss_infidelity(rate, hold)) == repr(widened)
+
     def test_negative_inputs_rejected(self):
         with pytest.raises(DomainError):
             storage_loss_infidelity(-1.0, 1.0)

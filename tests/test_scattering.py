@@ -1,9 +1,11 @@
+import cmath
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -37,8 +39,8 @@ def numpy_conversion(sys_, omega):
     sign = 1.0 if sys_.scheme is Scheme.RED else -1.0
     m = np.array(
         [
-            [1j * (sys_.detuning_a - omega) + sys_.kappa_a / 2.0, 1j * sys_.g_eff],
-            [sign * 1j * sys_.g_eff, 1j * (sys_.detuning_b - omega) + sys_.kappa_b / 2.0],
+            [sys_.kappa_a / 2.0 - 1j * omega, 1j * sys_.g_eff],
+            [sign * 1j * sys_.g_eff, sys_.kappa_b / 2.0 - 1j * omega],
         ]
     )
     x = np.linalg.solve(m, np.array([math.sqrt(sys_.kappa_a_ex), 0.0]))
@@ -84,11 +86,6 @@ class TestBuildLinearized:
     def test_zero_total_loss_rejected(self):
         with pytest.raises(DomainError, match="loss"):
             LinearizedSystem(1.0, 0.0, 0.0, 1.0, 1.0, Scheme.BLUE)
-
-    def test_triple_resonance_default(self, device):
-        sys_ = build_linearized(device, 1e6)
-        assert sys_.detuning_a == 0.0
-        assert sys_.detuning_b == 0.0
 
 
 class TestRedScattering:
@@ -237,20 +234,22 @@ class TestBlueScheme:
             assert excinfo.value.threshold == pytest.approx(1.0, abs=1e-9)
 
     def test_determinant_sign_change_at_threshold(self, device):
-        # on-resonance determinant of the blue system: positive below C = 1,
-        # negative above, straddling zero at the threshold
-        from xduce.scattering import _system_matrix
+        # on-resonance determinant of the blue system, from the dense matrix:
+        # positive below C = 1, negative above, straddling zero at the
+        # threshold; the stability verdict follows its sign
+        scale = device.mode_a.kappa * device.mode_b.kappa / 4.0
 
         def det_at(c):
-            m11, m12, m21, m22 = _system_matrix(self._blue_at(device, c), 0.0)
-            d = m11 * m22 - m12 * m21
-            assert d.imag == 0.0
-            return d.real
+            sys_ = self._blue_at(device, c)
+            m = np.array([[sys_.kappa_a / 2.0, 1j * sys_.g_eff],
+                          [-1j * sys_.g_eff, sys_.kappa_b / 2.0]])
+            d = complex(np.linalg.det(m))
+            assert abs(d.imag) <= 1e-12 * scale
+            return d.real, blue_unstable(sys_)
 
-        assert det_at(0.999) > 0.0
-        assert det_at(1.001) < 0.0
-        scale = device.mode_a.kappa * device.mode_b.kappa / 4.0
-        assert abs(det_at(1.0)) <= 1e-9 * scale
+        assert det_at(0.999) == (pytest.approx(1e-3 * scale, rel=1e-6), False)
+        assert det_at(1.001) == (pytest.approx(-1e-3 * scale, rel=1e-6), True)
+        assert abs(det_at(1.0)[0]) <= 1e-9 * scale
 
     def test_stability_resolved_next_to_threshold(self):
         # kappa_b / kappa_a = 1e-10 puts the decisive eigenvalue 1e-16 below
@@ -297,41 +296,55 @@ class TestBlueScheme:
         else:
             assert math.isfinite(scattering_at(sys_, 0.0).conversion)
 
-    def test_detuned_threshold_zeroes_the_determinant(self):
-        # Im(m11 m22) = 0 when kappa_b*detuning_a = -kappa_a*detuning_b; the
-        # threshold then exceeds 1 and the rescaled determinant vanishes there
-        ka, kb, da = 3.0e3, 2.0e3, 5.0e3
-        db = -da * kb / ka
-        sys_ = LinearizedSystem(0.4e3, 1.0e3, 2.0e3, 0.5e3, 1.5e3, Scheme.BLUE, da, db)
-        c_star = parametric_threshold(sys_)
-        assert c_star == pytest.approx(1.0 + 4.0 * da * da / (ka * ka), rel=1e-12)
-        g_star = math.sqrt(c_star * ka * kb / 4.0)
-        m = np.array([[ka / 2 + 1j * da, 1j * g_star], [-1j * g_star, kb / 2 + 1j * db]])
-        assert abs(np.linalg.det(m)) <= 1e-12 * ka * kb
+    @pytest.mark.parametrize("kappa", [1e-200, 1e200])
+    def test_threshold_with_kappa_product_out_of_range(self, kappa):
+        # kappa_a * kappa_b underflows to 0 or overflows to inf; the
+        # threshold is C = 1 whatever the loss rates
+        sys_ = LinearizedSystem(1.0, 0.0, kappa, 0.0, kappa, Scheme.BLUE)
+        assert parametric_threshold(sys_) == 1.0
 
-    def test_complex_determinant_rejected(self):
-        sys_ = LinearizedSystem(1e3, 1e3, 2e3, 5e2, 1.5e3, Scheme.BLUE, detuning_a=4e3)
-        with pytest.raises(DomainError, match="detuned"):
-            parametric_threshold(sys_)
+    def test_weak_coupling_with_overflowing_trace_square(self):
+        # C ~ 1e-315 is far below the threshold although the squared half
+        # trace, ((kappa_a + kappa_b)/4)^2, overflows: the point solves, to
+        # the blue gain 4C/(1-C)^2 of two fully overcoupled modes
+        sys_ = LinearizedSystem(1.25e-17, 0.0, 4.38e38, 0.0, 1.66e243, Scheme.BLUE)
+        c = 4 * Fraction(sys_.g_eff) ** 2 / (Fraction(sys_.kappa_a) * Fraction(sys_.kappa_b))
+        assert not blue_unstable(sys_)
+        point = conversion_spectrum(sys_, [0.0])[0]
+        assert point.conversion == pytest.approx(float(4 * c / (1 - c) ** 2), rel=1e-6)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
         log_ka=st.floats(0.0, 10.0),
         log_kb=st.floats(0.0, 10.0),
         log_c=st.floats(-3.0, 3.0),
-        det_a=st.floats(-5.0, 5.0),
-        det_b=st.floats(-5.0, 5.0),
+        ulps=st.one_of(st.none(), st.integers(-4, 4)),
     )
-    def test_stability_matches_dense_eigenvalues(self, log_ka, log_kb, log_c, det_a, det_b):
+    def test_stability_matches_dense_eigenvalues(self, log_ka, log_kb, log_c, ulps):
+        # an ulps draw puts C within 4 ULPs of 1, where the dense eigenvalues
+        # cannot resolve the sign of the decisive one; every draw is also
+        # checked against that eigenvalue in cancellation-free form
         ka, kb = 10.0**log_ka, 10.0**log_kb
-        g = math.sqrt(10.0**log_c * ka * kb / 4.0)
-        sys_ = LinearizedSystem(g, ka / 2, ka / 2, kb / 2, kb / 2, Scheme.BLUE,
-                                det_a * ka, det_b * kb)
-        m = np.array([[ka / 2 + 1j * det_a * ka, 1j * g], [-1j * g, kb / 2 + 1j * det_b * kb]])
-        eigs = np.linalg.eigvals(m)
-        # skip draws whose decisive eigenvalue sits within rounding of the axis
-        assume(abs(eigs.real.min()) > 1e-9 * np.abs(eigs).max())
-        assert blue_unstable(sys_) == (eigs.real.min() <= 0.0)
+        c = 10.0**log_c
+        if ulps is not None:
+            c = 1.0
+            for _ in range(abs(ulps)):
+                c = math.nextafter(c, 2.0 if ulps > 0 else 0.0)
+        g = math.sqrt(c * ka * kb / 4.0)
+        sys_ = LinearizedSystem(g, ka / 2, ka / 2, kb / 2, kb / 2, Scheme.BLUE)
+        unstable = blue_unstable(sys_)
+        eigs = np.linalg.eigvals(np.array([[ka / 2, 1j * g], [-1j * g, kb / 2]]))
+        # skip the dense check where the decisive eigenvalue sits within
+        # rounding of the axis
+        if abs(eigs.real.min()) > 1e-9 * np.abs(eigs).max():
+            assert unstable == (eigs.real.min() <= 0.0)
+        # eigenvalues half_trace +- root with Re(root) >= 0: half_trace + root
+        # decays, and the other is det / (half_trace + root)
+        m11, m12, m21, m22 = complex(ka / 2), 1j * g, -1j * g, complex(kb / 2)
+        half_trace = (m11 + m22) / 2.0
+        det = m11 * m22 - m12 * m21
+        root = cmath.sqrt(half_trace * half_trace - det)
+        assert unstable == ((det / (half_trace + root)).real <= 0.0)
 
     def test_blue_matches_dense_solver(self, device):
         sys_ = self._blue_at(device, 0.4)
