@@ -31,32 +31,40 @@ HBAR = 1.054571817e-34
 TWO_PI = 2.0 * math.pi
 
 
-def store_floats(obj, *names: str) -> None:
-    """Replace each named field of a frozen dataclass with its ``float``, so
-    NumPy scalars (float32 included) give float64 results downstream."""
-    for name in names:
-        object.__setattr__(obj, name, float(getattr(obj, name)))
-
-
-# The checks return the value as a Python float; callers rebind their
-# argument to it, so NumPy scalars give float64 results, as store_floats does
-# for dataclass fields.
+# The one scalar check, in three strengths. Each widens the value with
+# float(), so NumPy scalars (float32 included) give float64 results, rejects
+# it with a DomainError naming the quantity, and returns the float for the
+# caller to rebind, or for _store_checked to store.
 def _require_finite(value: float, name: str) -> float:
+    value = float(value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return value
 
 
+# The signed checks make one comparison on the way through; a value that
+# fails it is then checked finite, so nan and inf read as not finite.
 def _require_positive(value: float, name: str) -> float:
-    if _require_finite(value, name) <= 0.0:
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        _require_finite(value, name)
         raise DomainError(f"{name} must be positive, got {value!r}")
-    return float(value)
+    return value
 
 
 def _require_non_negative(value: float, name: str) -> float:
-    if _require_finite(value, name) < 0.0:
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        _require_finite(value, name)
         raise DomainError(f"{name} must be non-negative, got {value!r}")
-    return float(value)
+    return value
+
+
+def _store_checked(obj, check, *names: str, prefix: str = "") -> None:
+    """Store each named field of a frozen dataclass as ``check(value, prefix +
+    name)``, one of the ``_require_*`` above."""
+    for name in names:
+        object.__setattr__(obj, name, check(getattr(obj, name), prefix + name))
 
 
 class Scheme(Enum):
@@ -96,12 +104,11 @@ class Mode:
     kappa_ex: float
 
     def __post_init__(self) -> None:
-        store_floats(self, "omega", "kappa_i", "kappa_ex")
         if self.label not in ("a", "b", "p"):
             raise DomainError(f"mode label must be 'a', 'b' or 'p', got {self.label!r}")
-        _require_positive(self.omega, f"mode {self.label}: omega")
-        _require_non_negative(self.kappa_i, f"mode {self.label}: kappa_i")
-        _require_non_negative(self.kappa_ex, f"mode {self.label}: kappa_ex")
+        prefix = f"mode {self.label}: "
+        _store_checked(self, _require_positive, "omega", prefix=prefix)
+        _store_checked(self, _require_non_negative, "kappa_i", "kappa_ex", prefix=prefix)
         if self.kappa_i + self.kappa_ex <= 0.0:
             raise DomainError(f"mode {self.label}: total loss rate must be positive")
 
@@ -131,8 +138,7 @@ class TransducerConfig:
     g_eo: float
 
     def __post_init__(self) -> None:
-        store_floats(self, "g_eo")
-        _require_non_negative(self.g_eo, "g_eo")
+        _store_checked(self, _require_non_negative, "g_eo")
         labels = (self.mode_a.label, self.mode_b.label, self.mode_p.label)
         if labels != ("a", "b", "p"):
             raise DomainError(f"modes must carry labels ('a', 'b', 'p'), got {labels!r}")
@@ -153,9 +159,8 @@ class DriveCondition:
     scheme: Scheme = Scheme.RED
 
     def __post_init__(self) -> None:
-        store_floats(self, "pump_power", "pump_detuning")
-        _require_non_negative(self.pump_power, "pump_power")
-        _require_finite(self.pump_detuning, "pump_detuning")
+        _store_checked(self, _require_non_negative, "pump_power")
+        _store_checked(self, _require_finite, "pump_detuning")
 
 
 @dataclass(frozen=True)
@@ -198,7 +203,7 @@ def overflow_error(c: float) -> DomainError:
 def _pump_buildup(mode_p: Mode, pump_detuning: float) -> float:
     kp = mode_p.kappa
     try:
-        pump_detuning = float(pump_detuning)
+        pump_detuning = _require_finite(pump_detuning, "pump_detuning")
         buildup = HBAR * mode_p.omega * ((kp / 2.0) ** 2 + pump_detuning**2)
     except OverflowError:
         raise DomainError(

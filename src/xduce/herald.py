@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Scheme, store_floats
+from .core import Scheme, _require_non_negative, _store_checked
 from .errors import DomainError, ModelRegimeError, UsageError
 
 # Upper end of the blue herald model's regime in mu; the breakdown, the
@@ -43,11 +43,7 @@ class HeraldModel:
     scheme: Scheme
 
     def __post_init__(self) -> None:
-        store_floats(self, "r0", "dt")
-        if not (math.isfinite(self.r0) and self.r0 >= 0.0):
-            raise DomainError(f"r0 must be finite and non-negative, got {self.r0!r}")
-        if not (math.isfinite(self.dt) and self.dt >= 0.0):
-            raise DomainError(f"dt must be finite and non-negative, got {self.dt!r}")
+        _store_checked(self, _require_non_negative, "r0", "dt")
         if not math.isfinite(self.r0 * self.dt):
             raise DomainError(f"mu = r0 * dt overflows for r0 = {self.r0!r}, dt = {self.dt!r}")
 
@@ -147,11 +143,9 @@ def storage_loss_infidelity(kappa_b_i: float, hold_time: float) -> float:
     probabilities above and is never mixed into them. For small arguments
     it is linear, so a tenfold better intrinsic Q lowers it tenfold.
     """
-    if not (math.isfinite(kappa_b_i) and kappa_b_i >= 0.0):
-        raise DomainError(f"kappa_b_i must be finite and non-negative, got {kappa_b_i!r}")
-    if not (math.isfinite(hold_time) and hold_time >= 0.0):
-        raise DomainError(f"hold_time must be finite and non-negative, got {hold_time!r}")
-    return -math.expm1(-float(kappa_b_i) * float(hold_time))
+    kappa_b_i = _require_non_negative(kappa_b_i, "kappa_b_i")
+    hold_time = _require_non_negative(hold_time, "hold_time")
+    return -math.expm1(-kappa_b_i * hold_time)
 
 
 def _block_error_count(seed: int, block: int, n: int, f0: float, f1: float) -> int:

@@ -31,7 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import Scheme, TransducerConfig, store_floats
+from .core import Scheme, TransducerConfig, _require_finite, _require_non_negative, _store_checked
 from .errors import DomainError, InstabilityError, UsageError
 
 # Residual tolerance of the closed-form 2x2 solve, relative to the data.
@@ -55,9 +55,8 @@ class LinearizedSystem:
     scheme: Scheme
 
     def __post_init__(self) -> None:
-        store_floats(self, "g_eff", "kappa_a_i", "kappa_a_ex", "kappa_b_i", "kappa_b_ex")
-        if self.g_eff < 0.0 or not math.isfinite(self.g_eff):
-            raise DomainError(f"g_eff must be finite and non-negative, got {self.g_eff!r}")
+        _store_checked(self, _require_non_negative,
+                       "g_eff", "kappa_a_i", "kappa_a_ex", "kappa_b_i", "kappa_b_ex")
         if self.kappa_a <= 0.0 or self.kappa_b <= 0.0:
             raise DomainError("both modes need positive total loss rates")
 
@@ -92,8 +91,7 @@ def build_linearized(
 
     G = g_eo * sqrt(n_p), at triple resonance.
     """
-    if n_p < 0.0:
-        raise DomainError(f"n_p must be non-negative, got {n_p!r}")
+    n_p = _require_non_negative(n_p, "n_p")
     return LinearizedSystem(
         g_eff=cfg.g_eo * math.sqrt(n_p),
         kappa_a_i=cfg.mode_a.kappa_i,
@@ -161,6 +159,7 @@ def conversion_spectrum(sys: LinearizedSystem, omegas) -> list[ScatteringPoint]:
         m22 = complex(half_b, 0.0 - omega)
         det = m11 * m22 - m12 * m21
         if det == 0 or not cmath.isfinite(det):
+            _require_finite(omega, "probe offset")
             raise DomainError(f"2x2 steady-state determinant is {det!r}: the loss rates and "
                               f"coupling are beyond double range")
         # drive port a with input sqrt(ka_ex): out_b = sqrt(kb_ex) * x_b

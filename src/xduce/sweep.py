@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from . import core, herald
-from .core import DriveCondition, Mode, TransducerConfig
+from .core import (DriveCondition, Mode, TransducerConfig, _require_finite,
+                   _require_non_negative, _require_positive, _store_checked)
 from .errors import BracketingError, DomainError, ModelRegimeError
 
 if TYPE_CHECKING:
@@ -36,15 +37,13 @@ class PowerAxis:
     spacing: str = "log"
 
     def __post_init__(self) -> None:
-        core.store_floats(self, "min_w", "max_w")
+        _store_checked(self, _require_non_negative, "min_w", "max_w", prefix="power axis ")
         if self.spacing not in ("linear", "log"):
             raise DomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        if not (math.isfinite(self.min_w) and math.isfinite(self.max_w)):
-            raise DomainError("power axis bounds must be finite")
         if not (self.min_w < self.max_w):
             raise DomainError("power axis needs min < max")
-        if self.min_w < 0.0 or (self.spacing == "log" and self.min_w <= 0.0):
-            raise DomainError("power axis bounds must be positive (log) or non-negative")
+        if self.spacing == "log" and self.min_w == 0.0:
+            raise DomainError("log power axis bounds must be positive")
         if self.points is not None and not 2 <= self.points <= LOG_POINTS_CAP:
             raise DomainError(
                 f"power axis needs 2 to {LOG_POINTS_CAP} points, got {self.points}")
@@ -86,16 +85,15 @@ class HeraldOptions:
             )
         if self.r0_mapping == "direct" and self.r0_value is None:
             raise DomainError("direct r0 mapping needs r0_value")
-        r0 = self.r0_value
-        if r0 is not None and not (math.isfinite(r0) and r0 >= 0.0):
-            raise DomainError(f"r0 (r0_per_s) must be finite and non-negative, got {r0!r}")
-        if not (math.isfinite(self.dt) and self.dt >= 0.0):
-            raise DomainError(f"dt must be finite and non-negative, got {self.dt!r}")
+        if self.r0_value is not None:
+            object.__setattr__(
+                self, "r0_value", _require_non_negative(self.r0_value, "r0_value (r0_per_s)"))
+        _store_checked(self, _require_non_negative, "dt")
 
     def rate_for(self, cooperativity, kappa_b: float):
         """r0 (1/s) at a cooperativity: a float, or an array of them."""
         if self.r0_mapping == "direct":
-            return float(self.r0_value)
+            return self.r0_value
         return cooperativity * kappa_b
 
     def model_at(self, cfg: TransducerConfig, drive: DriveCondition) -> herald.HeraldModel:
@@ -118,15 +116,13 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         # plain floats, so table cells print as 9000000.0, not np.float64(...)
-        q_axis = tuple(float(q) for q in self.q_axis)
+        q_axis = tuple(_require_positive(q, "q_axis value") for q in self.q_axis)
         if not q_axis:
             raise DomainError("q_axis must not be empty")
-        if not all(math.isfinite(q) and q > 0.0 for q in q_axis):
-            raise DomainError("q_axis values must be finite and positive")
         if len(set(q_axis)) < len(q_axis):
             raise DomainError(f"q_axis values must be distinct, got {q_axis}")
         object.__setattr__(self, "q_axis", q_axis)
-        core.store_floats(self, "pump_detuning")
+        _store_checked(self, _require_finite, "pump_detuning")
         allowed = {"efficiency", "cooperativity", "infidelity"}
         unknown = set(self.outputs) - allowed
         if unknown:

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
+import xduce
 from xduce import Mode, TransducerConfig
 
 TWO_PI = 2.0 * math.pi
@@ -63,3 +65,12 @@ def make_device(
 @pytest.fixture
 def device() -> TransducerConfig:
     return make_device()
+
+
+def checked_float_types() -> set:
+    """The exported value types with a float field (by annotation) that
+    check their fields at construction, in ``__post_init__``."""
+    exported = (getattr(xduce, name) for name in xduce.__all__)
+    return {value for value in exported
+            if dataclasses.is_dataclass(value) and "__post_init__" in vars(value)
+            and any("float" in str(field.type) for field in dataclasses.fields(value))}

@@ -34,6 +34,7 @@ from xduce import herald
 from xduce.cli import MC_SAMPLES_CAP, _sweep_lines, build_parser, run_cli
 from xduce.config import load_config
 from xduce.sweep import HeraldOptions, PowerAxis, SweepSpec, run_sweep
+from conftest import checked_float_types
 
 HERE = Path(__file__).resolve().parent
 SHIPPED_FIXTURE = HERE.parent / "configs" / "device.ini"
@@ -946,3 +947,10 @@ def test_readme_synopsis_lists_the_parser_flags():
     listed = {line.split()[1]: set(re.findall(r"--[a-z-]+", line))
               for line in synopsis.splitlines() if line.startswith("xduce ")}
     assert listed == parser_flags()
+
+
+def test_readme_numpy_paragraph_lists_the_checked_types():
+    readme = (HERE.parent / "README.md").read_text(encoding="utf-8")
+    (paragraph,) = (part for part in readme.split("\n\n") if "NumPy scalars" in part)
+    missing = {t.__name__ for t in checked_float_types()} - set(re.findall(r"`(\w+)`", paragraph))
+    assert not missing, missing

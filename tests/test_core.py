@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import re
 from enum import Enum
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xduce
 from xduce import (
@@ -13,10 +16,13 @@ from xduce import (
     DomainError,
     DriveCondition,
     HeraldModel,
+    HeraldOptions,
     LinearizedSystem,
     Mode,
     NoCriticalPointError,
+    PowerAxis,
     Scheme,
+    SweepSpec,
     TransducerConfig,
     UndriveablePumpError,
     blue_breakdown,
@@ -38,7 +44,7 @@ from xduce import (
     storage_loss_infidelity,
 )
 from xduce.config import load_config
-from conftest import TWO_PI, make_device
+from conftest import TWO_PI, checked_float_types, make_device
 
 SHIPPED_FIXTURE = Path(__file__).resolve().parent.parent / "configs" / "device.ini"
 
@@ -144,6 +150,13 @@ class TestIntracavityPhotonNumber:
         mode_p = Mode("p", TWO_PI * 193.5e12, TWO_PI * 10e6, TWO_PI * 35e6)
         with pytest.raises(DomainError, match="delta_p\\^2 overflows"):
             intracavity_photon_number(mode_p, DriveCondition(1e-3, detuning))
+
+    @pytest.mark.parametrize("detuning", [math.nan, math.inf, -math.inf])
+    def test_non_finite_detuning_named(self, device, detuning):
+        for call in (lambda: critical_pump_power(device, detuning),
+                     lambda: maximize_efficiency(device, (0.0, 1.0), detuning)):
+            with pytest.raises(DomainError, match="pump_detuning must be finite"):
+                call()
 
 
 class TestCooperativity:
@@ -413,3 +426,71 @@ def test_float32_probe_grid_gives_the_float64_spectrum():
     narrow = conversion_spectrum(sys_, grid)
     assert narrow == conversion_spectrum(sys_, grid.astype(np.float64))
     assert repr(narrow) == repr(conversion_spectrum(sys_, grid.tolist()))
+
+
+# Each value type with numeric fields: the keyword arguments of a valid
+# instance, and per numeric field the check it must pass and a valid value.
+_POSITIVE, _NON_NEGATIVE, _FINITE = "positive", "non-negative", "finite"
+_DEVICE = make_device()
+VALUE_TYPES = {
+    Mode: (dict(label="a"), {"omega": (_POSITIVE, 1e15), "kappa_i": (_NON_NEGATIVE, 1e7),
+                             "kappa_ex": (_NON_NEGATIVE, 2e7)}),
+    TransducerConfig: (dict(mode_a=_DEVICE.mode_a, mode_b=_DEVICE.mode_b,
+                            mode_p=_DEVICE.mode_p),
+                       {"g_eo": (_NON_NEGATIVE, 250.0)}),
+    DriveCondition: (dict(), {"pump_power": (_NON_NEGATIVE, 1e-3),
+                              "pump_detuning": (_FINITE, 3e7)}),
+    LinearizedSystem: (dict(scheme=Scheme.RED),
+                       {"g_eff": (_NON_NEGATIVE, 1.0), "kappa_a_i": (_NON_NEGATIVE, 2.0),
+                        "kappa_a_ex": (_NON_NEGATIVE, 3.0), "kappa_b_i": (_NON_NEGATIVE, 4.0),
+                        "kappa_b_ex": (_NON_NEGATIVE, 5.0)}),
+    HeraldModel: (dict(scheme=Scheme.BLUE), {"r0": (_NON_NEGATIVE, 100.0),
+                                             "dt": (_NON_NEGATIVE, 1e-3)}),
+    PowerAxis: (dict(points=4), {"min_w": (_NON_NEGATIVE, 1e-7),
+                                 "max_w": (_NON_NEGATIVE, 1e-3)}),
+    HeraldOptions: (dict(), {"dt": (_NON_NEGATIVE, 1e-3),
+                             "r0_value": (_NON_NEGATIVE, 100.0)}),
+    # q_axis holds a tuple of Q values: the drawn value is its one element
+    SweepSpec: (dict(config=_DEVICE, power_axis=PowerAxis(1e-7, 1e-3, points=4)),
+                {"q_axis": (_POSITIVE, 9e6), "pump_detuning": (_FINITE, 3e7)}),
+}
+
+
+def _build(value_type, field, value):
+    kwargs, checks = VALUE_TYPES[value_type]
+    values = {name: valid for name, (_, valid) in checks.items()} | {field: value}
+    if "q_axis" in values:
+        values["q_axis"] = (values["q_axis"],)
+    return value_type(**kwargs, **values)
+
+
+@st.composite
+def _field_cases(draw):
+    value_type = draw(st.sampled_from(sorted(VALUE_TYPES, key=lambda t: t.__name__)))
+    field = draw(st.sampled_from(sorted(VALUE_TYPES[value_type][1])))
+    check = VALUE_TYPES[value_type][1][field][0]
+    bad = [st.sampled_from([math.nan, math.inf, -math.inf])]
+    if check != _FINITE:
+        bad.append(st.floats(-1e30, -1e-30))
+    if check == _POSITIVE:
+        bad.append(st.sampled_from([0.0, -0.0]))
+    return value_type, field, draw(st.one_of(bad))
+
+
+def test_value_type_table_covers_every_checked_type():
+    assert set(VALUE_TYPES) == checked_float_types()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_field_cases(), cast=st.sampled_from([float, np.float64, np.float32]),
+       scale=st.floats(0.5, 1.0))
+def test_every_numeric_field_is_checked_and_stored_as_a_float(case, cast, scale):
+    value_type, field, bad = case
+    # a DomainError naming the field; any other error type fails the test
+    with pytest.raises(DomainError, match=rf"\b{re.escape(field)}\b"):
+        _build(value_type, field, cast(bad))
+    valid = cast(VALUE_TYPES[value_type][1][field][1] * scale)
+    stored = getattr(_build(value_type, field, valid), field)
+    stored = stored[0] if field == "q_axis" else stored
+    assert type(stored) is float
+    assert stored == float(valid)

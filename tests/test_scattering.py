@@ -87,6 +87,19 @@ class TestBuildLinearized:
         with pytest.raises(DomainError, match="loss"):
             LinearizedSystem(1.0, 0.0, 0.0, 1.0, 1.0, Scheme.BLUE)
 
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["kappa_a_i", "kappa_a_ex", "kappa_b_i", "kappa_b_ex"])
+    def test_bad_split_rate_rejected_at_construction(self, field, value):
+        # the other rate of the mode is 2, so the total stays positive at -1
+        rates = dict(kappa_a_i=2.0, kappa_a_ex=2.0, kappa_b_i=2.0, kappa_b_ex=2.0)
+        with pytest.raises(DomainError, match=field):
+            LinearizedSystem(1.0, **{**rates, field: value}, scheme=Scheme.RED)
+
+    @pytest.mark.parametrize("n_p", [-1.0, math.nan, math.inf])
+    def test_bad_photon_number_named(self, device, n_p):
+        with pytest.raises(DomainError, match="n_p"):
+            build_linearized(device, n_p)
+
 
 class TestRedScattering:
     def test_decoupled_gives_zero(self, device):
@@ -127,6 +140,14 @@ class TestRedScattering:
                            kappa_b_ex=1e-200)
         with pytest.raises(DomainError, match="determinant"):
             scattering_at(build_linearized(tiny, 0.0), 0.0)
+
+    @pytest.mark.parametrize("omega", [math.inf, -math.inf, math.nan])
+    def test_non_finite_probe_offset_named(self, omega):
+        sys_ = LinearizedSystem(1.0, 1.0, 1.0, 1.0, 1.0, Scheme.RED)
+        with pytest.raises(DomainError, match="probe offset"):
+            scattering_at(sys_, omega)
+        with pytest.raises(DomainError, match="probe offset"):
+            conversion_spectrum(sys_, [0.0, omega])
 
     def test_conversion_bounded_by_one(self):
         rng = np.random.default_rng(5)

@@ -103,6 +103,11 @@ class TestSweepSpec:
         narrow, widened = table(np.float32), table(lambda x: float(np.float32(x)))
         assert narrow == widened
         assert repr(narrow) == repr(widened)
+        # a non-finite detuning is rejected when the spec is built, not in the sweep
+        for detuning in (math.nan, math.inf, np.float32(math.nan)):
+            with pytest.raises(DomainError, match="pump_detuning"):
+                SweepSpec(config=device, power_axis=PowerAxis(1e-7, 1e-3, points=4),
+                          q_axis=(9e6,), pump_detuning=detuning)
 
 
 class TestRetune:
@@ -330,6 +335,12 @@ def test_herald_options_validation():
     for r0 in (-1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="r0"):
             HeraldOptions(dt=1e-6, r0_mapping="direct", r0_value=r0)
+    for dt in (math.nan, math.inf, np.float32(-1.0)):
+        with pytest.raises(DomainError, match="dt"):
+            HeraldOptions(dt=dt, r0_mapping="c_kappa_b")
+    options = HeraldOptions(dt=np.float32(1e-3), r0_value=np.float32(100.0))
+    assert type(options.dt) is float and type(options.r0_value) is float
+    assert options.dt == float(np.float32(1e-3))
 
 
 def _log_float(lo, hi):
