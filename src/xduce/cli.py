@@ -90,6 +90,16 @@ def cmd_efficiency(run: RunConfig, args) -> int:
     return 0
 
 
+def _mapping_note(options: sweep.HeraldOptions | None) -> str | None:
+    """Under the c_kappa_b r0 mapping, print the note that names it on stderr,
+    and return it; otherwise None."""
+    if options is None or options.r0_mapping != "c_kappa_b":
+        return None
+    note = "r0 mapping: c_kappa_b (r0 = C * kappa_b), an explicit modeling assumption"
+    print(note, file=sys.stderr)
+    return note
+
+
 def cmd_sweep(run: RunConfig, args) -> int:
     spec = run.sweep
     if spec is None:
@@ -98,10 +108,7 @@ def cmd_sweep(run: RunConfig, args) -> int:
     if (run.table_path and plot_path
             and os.path.realpath(run.table_path) == os.path.realpath(plot_path)):
         raise ConfigError(f"the table and the plot name one file: {plot_path}")
-    note = None
-    if spec.herald_options is not None and spec.herald_options.r0_mapping == "c_kappa_b":
-        note = "r0 mapping: c_kappa_b (r0 = C * kappa_b), an explicit modeling assumption"
-        print(note, file=sys.stderr)
+    note = _mapping_note(spec.herald_options)
     table = sweep.run_sweep(spec)
     lines = _sweep_lines(table, args.format or run.out_format)
     files = []  # (path, newline, chunks), written in this order
@@ -165,6 +172,7 @@ def _gap_scale(estimate: herald.McEstimate) -> float:
 def cmd_herald(run: RunConfig, args) -> int:
     if run.herald is None:
         raise ConfigError("missing [herald] section")
+    _mapping_note(run.herald)
     model = run.herald.model_at(run.transducer, run.drive)
     blue = model.scheme is Scheme.BLUE
     breakdown = herald.blue_breakdown(model) if blue else herald.red_breakdown(model)

@@ -39,15 +39,33 @@ from .core import TWO_PI, DriveCondition, Mode, Scheme, TransducerConfig, q_to_k
 from .errors import ConfigError
 from .sweep import HeraldOptions, PowerAxis, SweepSpec
 
-# The fields each section may hold; a typo in a name is rejected at load.
+
+def _words(raw: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+
+
+# The kinds of value a field holds: how a rejection names the kind, and the
+# parser, which raises ValueError on a value that is not of the kind.
+_NUMBER = ("a number", float)
+_INTEGER = ("an integer", int)
+_WORD = ("a word", lambda raw: raw.strip().lower())
+_WORDS = ("a word list", _words)
+_NUMBERS = ("a number list", lambda raw: tuple(map(float, _words(raw))))
+_TEXT = ("text", str)
+
+# The schema: each section's fields and their kinds; a field outside it is
+# rejected at load. A third entry is the text an empty or missing value reads
+# as; load_config gives the other fields' defaults for a missing value.
 _MODE_FIELDS = ("frequency_hz", "q_i", "q_ex", "kappa_i_hz", "kappa_ex_hz")
-_FIELDS = {
-    "device": {f"{label}_{field}" for label in "abp" for field in _MODE_FIELDS} | {"g_eo_hz"},
-    "drive": {"power_w", "detuning_hz", "scheme"},
-    "herald": {"dt_s", "r0_mapping", "r0_per_s"},
-    "sweep": {"power_min_w", "power_max_w", "power_points", "power_spacing", "q_values",
-              "outputs"},
-    "output": {"format", "table", "plot", "seed"},
+_SCHEMA = {
+    "device": {**{f"{label}_{field}": _NUMBER for label in "abp" for field in _MODE_FIELDS},
+               "g_eo_hz": _NUMBER},
+    "drive": {"power_w": _NUMBER, "detuning_hz": _NUMBER, "scheme": _WORD},
+    "herald": {"dt_s": _NUMBER, "r0_mapping": (*_WORD, "direct"), "r0_per_s": _NUMBER},
+    "sweep": {"power_min_w": _NUMBER, "power_max_w": _NUMBER, "power_points": _INTEGER,
+              "power_spacing": (*_WORD, "log"), "q_values": _NUMBERS,
+              "outputs": (*_WORDS, "efficiency,cooperativity")},
+    "output": {"format": (*_WORD, "csv"), "table": _TEXT, "plot": _TEXT, "seed": _INTEGER},
 }
 
 
@@ -65,48 +83,61 @@ class RunConfig:
     seed: int
 
 
-def _get_float(section: configparser.SectionProxy, key: str) -> float:
-    raw = section.get(key)
-    if raw is None:
-        raise ConfigError(f"[{section.name}] is missing required field '{key}'")
+class _Fields(dict):
+    """One section's parsed values, by field; reading a missing one rejects it
+    as a required field."""
+
+    section = ""
+
+    def __missing__(self, key: str):
+        raise ConfigError(f"[{self.section}] is missing required field '{key}'")
+
+
+def _read(parser: configparser.ConfigParser, name: str) -> _Fields:
+    """Section ``name``'s fields, each parsed by its kind in ``_SCHEMA``; an
+    absent section has none but the defaults."""
+    fields = _Fields()
+    fields.section = name
     try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section.name}] field '{key}': not a number: {raw!r}") from None
+        present = dict(parser.items(name)) if name in parser else {}
+    except configparser.InterpolationError as exc:
+        raise ConfigError(f"[{name}] field '{exc.option}': {exc.message}") from None
+    for key, (kind, parse, *default) in _SCHEMA[name].items():
+        raw = present.get(key)
+        if default and not raw:
+            raw = default[0]
+        if raw is not None:
+            try:
+                fields[key] = parse(raw)
+            except ValueError:
+                raise ConfigError(f"[{name}] field '{key}': not {kind}: {raw!r}") from None
+    return fields
 
 
-def _get_float_opt(section, key: str, default: float) -> float:
-    if section is None or section.get(key) is None:
-        return default
-    return _get_float(section, key)
+def _build(section: str, make, *args):
+    """``make(*args)``, a value type or a conversion into one; its rejection
+    of a value names the quantity, and this prefix names the section."""
+    try:
+        return make(*args)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
-def _load_mode(device: configparser.SectionProxy, label: str) -> Mode:
-    omega = TWO_PI * _get_float(device, f"{label}_frequency_hz")
+def _load_mode(device: _Fields, label: str) -> Mode:
+    omega = TWO_PI * device[f"{label}_frequency_hz"]
     q_keys = (f"{label}_q_i", f"{label}_q_ex")
     kappa_keys = (f"{label}_kappa_i_hz", f"{label}_kappa_ex_hz")
-    has_q = any(device.get(k) is not None for k in q_keys)
-    has_kappa = any(device.get(k) is not None for k in kappa_keys)
+    has_q = any(k in device for k in q_keys)
+    has_kappa = any(k in device for k in kappa_keys)
     if has_q and has_kappa:
-        raise ConfigError(
-            f"[device] mode {label}: give either {q_keys} or {kappa_keys}, not both"
-        )
+        raise ConfigError(f"[device] mode {label}: give either {q_keys} or {kappa_keys}, not both")
     if has_q:
-        kappa_i = q_to_kappa(omega, _get_float(device, q_keys[0]))
-        kappa_ex = q_to_kappa(omega, _get_float(device, q_keys[1]))
+        kappas = [_build("device", q_to_kappa, omega, device[k]) for k in q_keys]
     elif has_kappa:
-        kappa_i = TWO_PI * _get_float(device, kappa_keys[0])
-        kappa_ex = TWO_PI * _get_float(device, kappa_keys[1])
+        kappas = [TWO_PI * device[k] for k in kappa_keys]
     else:
         raise ConfigError(f"[device] mode {label}: no loss rates given")
-    return Mode(label=label, omega=omega, kappa_i=kappa_i, kappa_ex=kappa_ex)
-
-
-def _parse_scheme(raw: str) -> Scheme:
-    try:
-        return Scheme(raw.strip().lower())
-    except ValueError:
-        raise ConfigError(f"scheme must be 'red' or 'blue', got {raw!r}") from None
+    return _build("device", Mode, label, omega, *kappas)
 
 
 def load_config(path: str) -> RunConfig:
@@ -122,122 +153,49 @@ def load_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     for name in parser.sections():
-        if name not in _FIELDS:
+        if name not in _SCHEMA:
             raise ConfigError(f"unknown section [{name}]")
-        unknown = sorted(set(parser[name]) - _FIELDS[name])
+        unknown = sorted(set(parser[name]) - _SCHEMA[name].keys())
         if unknown:
             raise ConfigError(f"[{name}] unknown field(s): {', '.join(unknown)}")
-
     if "device" not in parser:
         raise ConfigError("missing [device] section")
-    device = parser["device"]
-    section = "device"  # the section being built, named in value-type rejections
-    try:
-        mode_a = _load_mode(device, "a")
-        mode_b = _load_mode(device, "b")
-        mode_p = _load_mode(device, "p")
-        g_eo = TWO_PI * _get_float(device, "g_eo_hz")
-        transducer = TransducerConfig(mode_a=mode_a, mode_b=mode_b, mode_p=mode_p, g_eo=g_eo)
 
-        section = "drive"
-        drive_section = parser["drive"] if "drive" in parser else None
-        power = _get_float_opt(drive_section, "power_w", 0.0)
-        detuning = TWO_PI * _get_float_opt(drive_section, "detuning_hz", 0.0)
-        scheme = Scheme.RED
-        if drive_section is not None and drive_section.get("scheme") is not None:
-            scheme = _parse_scheme(drive_section.get("scheme"))
-        drive = DriveCondition(pump_power=power, pump_detuning=detuning, scheme=scheme)
+    device = _read(parser, "device")
+    modes = [_load_mode(device, label) for label in "abp"]
+    transducer = _build("device", TransducerConfig, *modes, TWO_PI * device["g_eo_hz"])
 
-        herald = None
-        if "herald" in parser:
-            section = "herald"
-            hsec = parser["herald"]
-            mapping = (hsec.get("r0_mapping") or "direct").strip().lower()
-            r0_value = None
-            if hsec.get("r0_per_s") is not None:
-                r0_value = _get_float(hsec, "r0_per_s")
-            # sweep infidelity columns always use the blue heralding model;
-            # the drive scheme only selects which breakdown `herald` prints
-            herald = HeraldOptions(
-                dt=_get_float(hsec, "dt_s"),
-                r0_mapping=mapping,
-                r0_value=r0_value,
-            )
+    fields = _read(parser, "drive")
+    scheme = fields.get("scheme", "red")
+    if scheme not in ("red", "blue"):
+        raise ConfigError(f"[drive] scheme must be 'red' or 'blue', got {scheme!r}")
+    detuning = TWO_PI * fields.get("detuning_hz", 0.0)
+    drive = _build("drive", DriveCondition, fields.get("power_w", 0.0), detuning, Scheme(scheme))
 
-        sweep = None
-        if "sweep" in parser:
-            section = "sweep"
-            ssec = parser["sweep"]
-            points_raw = ssec.get("power_points")
-            points = None
-            if points_raw is not None:
-                try:
-                    points = int(points_raw)
-                except ValueError:
-                    raise ConfigError(
-                        f"[sweep] field 'power_points': not an integer: {points_raw!r}"
-                    ) from None
-            axis = PowerAxis(
-                min_w=_get_float(ssec, "power_min_w"),
-                max_w=_get_float(ssec, "power_max_w"),
-                points=points,
-                spacing=(ssec.get("power_spacing") or "log").strip().lower(),
-            )
-            q_raw = ssec.get("q_values")
-            if q_raw is None:
-                raise ConfigError("[sweep] is missing required field 'q_values'")
-            try:
-                q_axis = tuple(float(tok) for tok in q_raw.split(",") if tok.strip())
-            except ValueError:
-                raise ConfigError(f"[sweep] field 'q_values': bad list: {q_raw!r}") from None
-            outputs_raw = ssec.get("outputs") or "efficiency,cooperativity"
-            outputs = tuple(tok.strip() for tok in outputs_raw.split(",") if tok.strip())
-            sweep = SweepSpec(
-                config=transducer,
-                power_axis=axis,
-                q_axis=q_axis,
-                outputs=outputs,
-                herald_options=herald,
-                pump_detuning=detuning,
-            )
+    herald = None
+    if "herald" in parser:
+        # sweep infidelity columns always use the blue heralding model;
+        # the drive scheme only selects which breakdown `herald` prints
+        fields = _read(parser, "herald")
+        herald = _build("herald", HeraldOptions, fields["dt_s"], fields["r0_mapping"],
+                        fields.get("r0_per_s"))
 
-        osec = parser["output"] if "output" in parser else None
-        out_format = "csv"
-        table_path = None
-        plot_path = None
-        seed = 0
-        if osec is not None:
-            out_format = (osec.get("format") or "csv").strip().lower()
-            if out_format not in ("csv", "jsonl"):
-                raise ConfigError(f"[output] format must be csv or jsonl, got {out_format!r}")
-            table_path = osec.get("table")
-            plot_path = osec.get("plot")
-            if osec.get("seed") is not None:
-                try:
-                    seed = int(osec.get("seed"))
-                except ValueError:
-                    raise ConfigError(
-                        f"[output] field 'seed': not an integer: {osec.get('seed')!r}"
-                    ) from None
-                if seed < 0:
-                    raise ConfigError(f"[output] field 'seed': must be non-negative, got {seed}")
-    except ConfigError:
-        raise
-    except (ValueError, ArithmeticError) as exc:
-        # a value type rejected a field: its message names the quantity, the
-        # prefix names the section
-        raise ConfigError(f"[{section}] {exc}") from exc
+    sweep = None
+    if "sweep" in parser:
+        fields = _read(parser, "sweep")
+        axis = _build("sweep", PowerAxis, fields["power_min_w"], fields["power_max_w"],
+                      fields.get("power_points"), fields["power_spacing"])
+        sweep = _build("sweep", SweepSpec, transducer, axis, fields["q_values"],
+                       fields["outputs"], herald, detuning)
 
-    return RunConfig(
-        transducer=transducer,
-        drive=drive,
-        herald=herald,
-        sweep=sweep,
-        out_format=out_format,
-        table_path=table_path,
-        plot_path=plot_path,
-        seed=seed,
-    )
+    output = _read(parser, "output")
+    if output["format"] not in ("csv", "jsonl"):
+        raise ConfigError(f"[output] format must be csv or jsonl, got {output['format']!r}")
+    seed = output.get("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"[output] field 'seed': must be non-negative, got {seed}")
+    return RunConfig(transducer, drive, herald, sweep, output["format"], output.get("table"),
+                     output.get("plot"), seed)
 
 
 def dump_normalized(run: RunConfig) -> str:

@@ -32,11 +32,19 @@ TWO_PI = 2.0 * math.pi
 
 
 # The one scalar check, in three strengths. Each widens the value with
-# float(), so NumPy scalars (float32 included) give float64 results, rejects
-# it with a DomainError naming the quantity, and returns the float for the
-# caller to rebind, or for _store_checked to store.
+# float(), through _as_float, so NumPy scalars (float32 included) give float64
+# results, rejects it (or a value float() cannot read) with a DomainError
+# naming the quantity, and returns the float for the caller to rebind, or for
+# _store_checked to store.
+def _as_float(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):  # such as 'abc', None or 1j
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
+
+
 def _require_finite(value: float, name: str) -> float:
-    value = float(value)
+    value = _as_float(value, name)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
@@ -45,7 +53,7 @@ def _require_finite(value: float, name: str) -> float:
 # The signed checks make one comparison on the way through; a value that
 # fails it is then checked finite, so nan and inf read as not finite.
 def _require_positive(value: float, name: str) -> float:
-    value = float(value)
+    value = _as_float(value, name)
     if not 0.0 < value < math.inf:
         _require_finite(value, name)
         raise DomainError(f"{name} must be positive, got {value!r}")
@@ -53,7 +61,7 @@ def _require_positive(value: float, name: str) -> float:
 
 
 def _require_non_negative(value: float, name: str) -> float:
-    value = float(value)
+    value = _as_float(value, name)
     if not 0.0 <= value < math.inf:
         _require_finite(value, name)
         raise DomainError(f"{name} must be non-negative, got {value!r}")

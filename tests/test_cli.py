@@ -32,7 +32,7 @@ from xduce import (
 )
 from xduce import herald
 from xduce.cli import MC_SAMPLES_CAP, _sweep_lines, build_parser, run_cli
-from xduce.config import load_config
+from xduce.config import _SCHEMA, load_config
 from xduce.sweep import HeraldOptions, PowerAxis, SweepSpec, run_sweep
 from conftest import checked_float_types
 
@@ -326,6 +326,18 @@ class TestHeraldCommand:
         assert float(first["mc_gap_sigma"]) == pytest.approx(
             (float(first["infidelity"]) - expected.infidelity_mean) / expected.standard_error
         )
+
+    def test_c_kappa_b_mapping_note_matches_sweep(self, tmp_path, capsys):
+        # the linear golden SVG's config: the sweep's note is in that SVG
+        direct = write_config(tmp_path, GOLDEN_TEMPLATE.format(table=""), "direct.ini")
+        mapped = write_config(tmp_path, LINEAR_TEMPLATE.format(table=""), "mapped.ini")
+        assert run_cli(["sweep", "--config", mapped]) == 0
+        note = capsys.readouterr().err
+        assert note == "r0 mapping: c_kappa_b (r0 = C * kappa_b), an explicit modeling assumption\n"
+        assert run_cli(["herald", "--config", mapped]) == 0
+        assert capsys.readouterr().err == note
+        assert run_cli(["herald", "--config", direct]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_zero_rate_mc_is_exactly_zero(self, tmp_path, capsys):
         text = DEVICE_SECTION + (
@@ -947,6 +959,17 @@ def test_readme_synopsis_lists_the_parser_flags():
     listed = {line.split()[1]: set(re.findall(r"--[a-z-]+", line))
               for line in synopsis.splitlines() if line.startswith("xduce ")}
     assert listed == parser_flags()
+
+
+def test_readme_config_table_lists_the_schema():
+    readme = (HERE.parent / "README.md").read_text(encoding="utf-8")
+    rows = readme.split("| section | field | kind |", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    listed = {}
+    for row in rows:
+        section, field, kind = (cell.strip().strip("`") for cell in row.split("|")[1:4])
+        listed.setdefault(section, {})[field] = kind
+    assert listed == {section: {field: re.sub(r"^an? ", "", spec[0]) for field, spec in fields.items()}
+                      for section, fields in _SCHEMA.items()}
 
 
 def test_readme_numpy_paragraph_lists_the_checked_types():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from xduce import ConfigError, Mode, Scheme, TransducerConfig
 from xduce.cli import run_cli
-from xduce.config import dump_normalized, load_config
+from xduce.config import _SCHEMA, dump_normalized, load_config
 
 SHIPPED_FIXTURE = Path(__file__).resolve().parent.parent / "configs" / "device.ini"
 
@@ -189,6 +190,51 @@ def test_negative_seed_rejected(tmp_path):
 def test_unknown_section_or_field_rejected(tmp_path, text, message):
     with pytest.raises(ConfigError, match=message):
         load_config(write_config(tmp_path, text))
+
+
+# Text no field should take, or take only in some kinds: a rejection names
+# the field's section, or the file-level fault before any value is read.
+HOSTILE_TEXT = ("", "abc", ", ,", "1,2", "nan", "-1", "1e400", "1.5", "50%")
+FILE_LEVEL = ("cannot parse ", "unknown section [", "missing [device] section")
+
+
+def set_field(text, section, field, value):
+    """``text`` with ``field`` set to ``value``, added to ``[section]`` if absent."""
+    line = f"{field} = {value}"
+    if re.search(rf"^{field} = ", text, flags=re.M):
+        return re.sub(rf"^{field} = .*$", lambda _: line, text, flags=re.M)
+    return text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(changes=st.lists(
+    st.tuples(st.sampled_from([(section, field) for section, fields in _SCHEMA.items()
+                               for field in fields]),
+              st.sampled_from(HOSTILE_TEXT)),
+    min_size=1, max_size=2))
+def test_hostile_field_is_loaded_or_rejected_in_its_section(changes):
+    text = SHIPPED_FIXTURE.read_text()
+    for (section, field), value in changes:
+        text = set_field(text, section, field, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        try:
+            load_config(path)
+        except ConfigError as exc:  # any other exception fails the test
+            message = str(exc)
+            sections = {section for (section, _), _ in changes}
+            assert (message.startswith(FILE_LEVEL)
+                    or any(message.startswith(f"[{section}] ") for section in sections)), message
+
+
+def test_bad_interpolation_rejected_with_its_field(tmp_path):
+    text = SHIPPED_FIXTURE.read_text().replace("seed = 12345", "seed = 12345\ntable = out%.csv")
+    with pytest.raises(ConfigError, match=r"^\[output\] field 'table': '%' must be followed"):
+        load_config(write_config(tmp_path, text))
+    text = text.replace("out%.csv", "out%%.csv")
+    assert load_config(write_config(tmp_path, text)).table_path == "out%.csv"
 
 
 def test_repeated_q_values_rejected(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 from enum import Enum
+from fractions import Fraction
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
@@ -494,3 +495,18 @@ def test_every_numeric_field_is_checked_and_stored_as_a_float(case, cast, scale)
     stored = stored[0] if field == "q_axis" else stored
     assert type(stored) is float
     assert stored == float(valid)
+
+
+@pytest.mark.parametrize(
+    "value_type, field",
+    [(value_type, field) for value_type, (_, checks) in VALUE_TYPES.items() for field in checks],
+    ids=lambda case: getattr(case, "__name__", case))
+def test_non_numeric_value_is_rejected_by_name(value_type, field):
+    # float() raises a bare ValueError or TypeError for these; the check names the field
+    for bad in ("abc", None, 1j, object()):
+        with pytest.raises(DomainError, match=rf"\b{re.escape(field)}\b"):
+            _build(value_type, field, bad)
+    valid = VALUE_TYPES[value_type][1][field][1]
+    for spelled in (str(valid), Fraction(valid)):
+        stored = getattr(_build(value_type, field, spelled), field)
+        assert (stored[0] if field == "q_axis" else stored) == valid
