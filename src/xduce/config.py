@@ -33,9 +33,8 @@ taken as-is (no 2*pi).
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
 
-from .core import TWO_PI, DriveCondition, Mode, Scheme, TransducerConfig, q_to_kappa
+from .core import TWO_PI, DriveCondition, Mode, Scheme, TransducerConfig, _Frozen, q_to_kappa
 from .errors import ConfigError
 from .sweep import HeraldOptions, PowerAxis, SweepSpec
 
@@ -49,7 +48,7 @@ def _words(raw: str) -> tuple[str, ...]:
 _NUMBER = ("a number", float)
 _INTEGER = ("an integer", int)
 _WORD = ("a word", lambda raw: raw.strip().lower())
-_WORDS = ("a word list", _words)
+_WORDS = ("a word list", lambda raw: _words(raw.lower()))
 _NUMBERS = ("a number list", lambda raw: tuple(map(float, _words(raw))))
 _TEXT = ("text", str)
 
@@ -69,8 +68,7 @@ _SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Frozen):
     """Everything a CLI subcommand needs, already normalized to rad/s."""
 
     transducer: TransducerConfig

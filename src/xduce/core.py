@@ -19,7 +19,6 @@ the same footing as the internal efficiency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, NoCriticalPointError, UndriveablePumpError
@@ -41,6 +40,8 @@ def _as_float(value, name: str) -> float:
         return float(value)
     except (TypeError, ValueError):  # such as 'abc', None or 1j
         raise DomainError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:  # an int or Fraction beyond double range, too long to repr
+        raise DomainError(f"{name} is beyond the double range") from None
 
 
 def _require_finite(value: float, name: str) -> float:
@@ -69,10 +70,57 @@ def _require_non_negative(value: float, name: str) -> float:
 
 
 def _store_checked(obj, check, *names: str, prefix: str = "") -> None:
-    """Store each named field of a frozen dataclass as ``check(value, prefix +
-    name)``, one of the ``_require_*`` above."""
+    """Store each named field of a value type (a :class:`_Frozen`) as
+    ``check(value, prefix + name)``, one of the ``_require_*`` above."""
+    fields = obj.__dict__
     for name in names:
-        object.__setattr__(obj, name, check(getattr(obj, name), prefix + name))
+        fields[name] = check(fields[name], prefix + name)
+
+
+class _Frozen:
+    """Base of the value types: an immutable record of the fields annotated
+    in the subclass body, in order, with their class-level values as
+    defaults.
+
+    Each subclass gets an ``__init__``, generated once, that takes the fields
+    by position or keyword, stores them, and then calls the class's
+    ``_check``, if it has one, to validate them (through
+    :func:`_store_checked`). ``==``, ``hash`` and ``repr`` read the fields in
+    order, as those of a frozen dataclass do, and setting or deleting an
+    attribute raises ``AttributeError``.
+    """
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        names = tuple(vars(cls).get("__annotations__", ()))
+        params = ", ".join(f"{name}=_cls.{name}" if name in vars(cls) else name
+                           for name in names)
+        fields = ", ".join(f"{name!r}: {name}" for name in names)
+        source = f"def __init__(self, {params}):\n    _set(self, '__dict__', {{{fields}}})\n"
+        if hasattr(cls, "_check"):
+            source += "    self._check()\n"
+        namespace = {"_set": object.__setattr__, "_cls": cls}
+        exec(source, namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Scheme(Enum):
@@ -87,8 +135,7 @@ class Scheme(Enum):
     BLUE = "blue"
 
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(_Frozen):
     """One resonant mode with its loss budget.
 
     Parameters
@@ -111,7 +158,7 @@ class Mode:
     kappa_i: float
     kappa_ex: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.label not in ("a", "b", "p"):
             raise DomainError(f"mode label must be 'a', 'b' or 'p', got {self.label!r}")
         prefix = f"mode {self.label}: "
@@ -131,8 +178,7 @@ class Mode:
         return self.kappa_ex / self.kappa
 
 
-@dataclass(frozen=True)
-class TransducerConfig:
+class TransducerConfig(_Frozen):
     """A transducer: three modes plus the vacuum electro-optic coupling.
 
     ``g_eo`` (rad/s) is the vacuum coupling rate between the signal and
@@ -145,15 +191,14 @@ class TransducerConfig:
     mode_p: Mode
     g_eo: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _store_checked(self, _require_non_negative, "g_eo")
         labels = (self.mode_a.label, self.mode_b.label, self.mode_p.label)
         if labels != ("a", "b", "p"):
             raise DomainError(f"modes must carry labels ('a', 'b', 'p'), got {labels!r}")
 
 
-@dataclass(frozen=True)
-class DriveCondition:
+class DriveCondition(_Frozen):
     """Laser pump drive: power, detuning from the pump resonance, scheme.
 
     ``pump_detuning`` is the pump laser frequency minus the pump-mode
@@ -166,13 +211,12 @@ class DriveCondition:
     pump_detuning: float = 0.0
     scheme: Scheme = Scheme.RED
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _store_checked(self, _require_non_negative, "pump_power")
         _store_checked(self, _require_finite, "pump_detuning")
 
 
-@dataclass(frozen=True)
-class EfficiencyBreakdown:
+class EfficiencyBreakdown(_Frozen):
     """Conversion efficiency with its three factors spelled out.
 
     ``eta = extraction_a * extraction_b * eta_i`` where ``eta_i`` is the
@@ -210,8 +254,8 @@ def overflow_error(c: float) -> DomainError:
 
 def _pump_buildup(mode_p: Mode, pump_detuning: float) -> float:
     kp = mode_p.kappa
+    pump_detuning = _require_finite(pump_detuning, "pump_detuning")
     try:
-        pump_detuning = _require_finite(pump_detuning, "pump_detuning")
         buildup = HBAR * mode_p.omega * ((kp / 2.0) ** 2 + pump_detuning**2)
     except OverflowError:
         raise DomainError(

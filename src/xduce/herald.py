@@ -19,9 +19,8 @@ this module exists to quantify that gap, not to correct it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import Scheme, _require_non_negative, _store_checked
+from .core import Scheme, _Frozen, _require_non_negative, _store_checked
 from .errors import DomainError, ModelRegimeError, UsageError
 
 # Upper end of the blue herald model's regime in mu; the breakdown, the
@@ -34,15 +33,14 @@ MAX_POISSON_MEAN = 10.0
 _BLOCK_SIZE = 1_000_000
 
 
-@dataclass(frozen=True)
-class HeraldModel:
+class HeraldModel(_Frozen):
     """Photon generation rate r0 (1/s), window dt (s), and scheme."""
 
     r0: float
     dt: float
     scheme: Scheme
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _store_checked(self, _require_non_negative, "r0", "dt")
         if not math.isfinite(self.r0 * self.dt):
             raise DomainError(f"mu = r0 * dt overflows for r0 = {self.r0!r}, dt = {self.dt!r}")
@@ -53,8 +51,7 @@ class HeraldModel:
         return self.r0 * self.dt
 
 
-@dataclass(frozen=True)
-class HeraldBreakdown:
+class HeraldBreakdown(_Frozen):
     """Probability breakdown of one heralding window.
 
     ``p1`` and ``pmn`` are only defined for the blue scheme and are None
@@ -70,8 +67,7 @@ class HeraldBreakdown:
     scheme: Scheme
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(_Frozen):
     """Monte Carlo infidelity estimate, bit-reproducible from the seed."""
 
     samples: int

@@ -29,17 +29,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .core import Scheme, TransducerConfig, _require_finite, _require_non_negative, _store_checked
+from .core import (Scheme, TransducerConfig, _Frozen, _require_finite, _require_non_negative,
+                   _store_checked)
 from .errors import DomainError, InstabilityError, UsageError
 
 # Residual tolerance of the closed-form 2x2 solve, relative to the data.
 _RESIDUAL_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class LinearizedSystem:
+class LinearizedSystem(_Frozen):
     """Pump-linearized two-mode system.
 
     ``g_eff`` is the effective coupling G = g_eo * sqrt(n_p), rad/s, at
@@ -54,7 +53,7 @@ class LinearizedSystem:
     kappa_b_ex: float
     scheme: Scheme
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _store_checked(self, _require_non_negative,
                        "g_eff", "kappa_a_i", "kappa_a_ex", "kappa_b_i", "kappa_b_ex")
         if self.kappa_a <= 0.0 or self.kappa_b <= 0.0:
@@ -69,8 +68,7 @@ class LinearizedSystem:
         return self.kappa_b_i + self.kappa_b_ex
 
 
-@dataclass(frozen=True)
-class ScatteringPoint:
+class ScatteringPoint(_Frozen):
     """Scattering response at one probe offset.
 
     ``amplitude_ab`` is the output at port a for unit input at port b;

@@ -10,11 +10,10 @@ the scalar API gives at each point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from . import core, herald
-from .core import (DriveCondition, Mode, TransducerConfig, _require_finite,
+from .core import (DriveCondition, Mode, TransducerConfig, _Frozen, _require_finite,
                    _require_non_negative, _require_positive, _store_checked)
 from .errors import BracketingError, DomainError, ModelRegimeError
 
@@ -27,8 +26,7 @@ LOG_POINTS_PER_DECADE = 200
 LOG_POINTS_CAP = 2000
 
 
-@dataclass(frozen=True)
-class PowerAxis:
+class PowerAxis(_Frozen):
     """Pump power grid: [min_w, max_w] with `points` samples, linear or log."""
 
     min_w: float
@@ -36,7 +34,7 @@ class PowerAxis:
     points: int | None = None
     spacing: str = "log"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _store_checked(self, _require_non_negative, "min_w", "max_w", prefix="power axis ")
         if self.spacing not in ("linear", "log"):
             raise DomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
@@ -62,8 +60,7 @@ class PowerAxis:
         return np.geomspace(self.min_w, self.max_w, points)
 
 
-@dataclass(frozen=True)
-class HeraldOptions:
+class HeraldOptions(_Frozen):
     """Herald settings for the infidelity columns, which use the blue scheme.
 
     ``r0_mapping`` selects how the generation rate follows the operating
@@ -78,7 +75,7 @@ class HeraldOptions:
     r0_mapping: str = "direct"
     r0_value: float | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.r0_mapping not in ("direct", "c_kappa_b"):
             raise DomainError(
                 f"r0_mapping must be 'direct' or 'c_kappa_b', got {self.r0_mapping!r}"
@@ -103,8 +100,7 @@ class HeraldOptions:
         return herald.HeraldModel(self.rate_for(c, cfg.mode_b.kappa), self.dt, drive.scheme)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Frozen):
     """Cross product of a power axis and a list of microwave Q values."""
 
     config: TransducerConfig
@@ -114,7 +110,7 @@ class SweepSpec:
     herald_options: HeraldOptions | None = None
     pump_detuning: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # plain floats, so table cells print as 9000000.0, not np.float64(...)
         q_axis = tuple(_require_positive(q, "q_axis value") for q in self.q_axis)
         if not q_axis:
@@ -133,8 +129,7 @@ class SweepSpec:
             raise DomainError("infidelity output requires herald options")
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(_Frozen):
     """A sweep's results: the power grid and its n_p once, the ascending
     Q_b values, and one list per Q_b of each result, so ``eta[k][i]`` is at
     ``q_b[k]`` and ``pump_power_w[i]``; ``infidelity`` is None unless
@@ -162,7 +157,7 @@ def retune_microwave_q(cfg: TransducerConfig, q_b: float) -> TransducerConfig:
     total = core.q_to_kappa(b.omega, q_b)
     ratio = b.extraction
     new_b = Mode(label="b", omega=b.omega, kappa_i=total * (1.0 - ratio), kappa_ex=total * ratio)
-    return replace(cfg, mode_b=new_b)
+    return TransducerConfig(cfg.mode_a, new_b, cfg.mode_p, cfg.g_eo)
 
 
 def _columns(cfg: TransducerConfig, powers: np.ndarray, n_p: np.ndarray, q_b: float,

@@ -1,10 +1,10 @@
-import dataclasses
 import math
 
 import pytest
 
 import xduce
 from xduce import Mode, TransducerConfig
+from xduce.core import _Frozen
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,8 +69,8 @@ def device() -> TransducerConfig:
 
 def checked_float_types() -> set:
     """The exported value types with a float field (by annotation) that
-    check their fields at construction, in ``__post_init__``."""
+    check their fields at construction, in ``_check``."""
     exported = (getattr(xduce, name) for name in xduce.__all__)
     return {value for value in exported
-            if dataclasses.is_dataclass(value) and "__post_init__" in vars(value)
-            and any("float" in str(field.type) for field in dataclasses.fields(value))}
+            if isinstance(value, type) and issubclass(value, _Frozen) and "_check" in vars(value)
+            and any("float" in annotation for annotation in value.__annotations__.values())}

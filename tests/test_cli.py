@@ -778,6 +778,16 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # the value types are built without the dataclass machinery, whose
+    # import pulls in inspect, ast and dis on every cold start
+    code = ("import xduce, xduce.cli, xduce.config, sys; "
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_run_verifies():
     # python -m xduce.cli runs the command line like the xduce script does
     proc = fresh_python("-m", "xduce.cli", "verify", "--config", str(SHIPPED_FIXTURE))

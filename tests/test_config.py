@@ -246,6 +246,19 @@ def test_repeated_q_values_rejected(tmp_path):
         load_config(write_config(tmp_path, text))
 
 
+def test_word_fields_ignore_case(tmp_path):
+    # every word field, the words of the outputs list included, reads lower-cased
+    text = SHIPPED_FIXTURE.read_text().replace("scheme = red", "scheme = blue")
+    lower = load_config(write_config(tmp_path, text))
+    text = text.replace("scheme = blue", "scheme = BLUE").replace(
+        "outputs = efficiency, cooperativity, infidelity",
+        "outputs = Efficiency, COOPERATIVITY, infidelity")
+    mixed = load_config(write_config(tmp_path, text, "mixed.ini"))
+    assert mixed.drive.scheme is Scheme.BLUE
+    assert mixed.sweep.outputs == ("efficiency", "cooperativity", "infidelity")
+    assert mixed == lower
+
+
 def test_repeated_outputs_rejected(tmp_path):
     text = MINIMAL + (
         "\n[sweep]\npower_min_w = 1e-7\npower_max_w = 1e-3\npower_points = 11\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 from enum import Enum
@@ -16,14 +15,19 @@ from xduce import (
     HBAR,
     DomainError,
     DriveCondition,
+    EfficiencyBreakdown,
+    HeraldBreakdown,
     HeraldModel,
     HeraldOptions,
     LinearizedSystem,
+    McEstimate,
     Mode,
     NoCriticalPointError,
     PowerAxis,
+    ScatteringPoint,
     Scheme,
     SweepSpec,
+    SweepTable,
     TransducerConfig,
     UndriveablePumpError,
     blue_breakdown,
@@ -44,7 +48,8 @@ from xduce import (
     scattering_at,
     storage_loss_infidelity,
 )
-from xduce.config import load_config
+from xduce.config import RunConfig, load_config
+from xduce.core import _Frozen
 from conftest import TWO_PI, checked_float_types, make_device
 
 SHIPPED_FIXTURE = Path(__file__).resolve().parent.parent / "configs" / "device.ini"
@@ -283,10 +288,9 @@ class TestCriticalPoints:
         assert ratio == pytest.approx(2.0, rel=1e-13)
 
     def test_no_critical_point_for_zero_coupling(self, device):
-        from dataclasses import replace
-
+        uncoupled = TransducerConfig(device.mode_a, device.mode_b, device.mode_p, g_eo=0.0)
         with pytest.raises(NoCriticalPointError):
-            critical_photon_number(replace(device, g_eo=0.0))
+            critical_photon_number(uncoupled)
 
     def test_power_round_trip(self, device):
         p_star = critical_pump_power(device)
@@ -401,9 +405,9 @@ SCALAR_CALLS = {
 
 def _numeric_leaves(value):
     """The numbers in a result: itself, or its fields and items, recursively."""
-    if dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            yield from _numeric_leaves(getattr(value, field.name))
+    if isinstance(value, _Frozen):
+        for field in vars(value).values():
+            yield from _numeric_leaves(field)
     elif isinstance(value, (tuple, list)):
         for item in value:
             yield from _numeric_leaves(item)
@@ -502,11 +506,99 @@ def test_every_numeric_field_is_checked_and_stored_as_a_float(case, cast, scale)
     [(value_type, field) for value_type, (_, checks) in VALUE_TYPES.items() for field in checks],
     ids=lambda case: getattr(case, "__name__", case))
 def test_non_numeric_value_is_rejected_by_name(value_type, field):
-    # float() raises a bare ValueError or TypeError for these; the check names the field
-    for bad in ("abc", None, 1j, object()):
+    # float() raises a bare ValueError, TypeError or OverflowError for these;
+    # the check names the field. repr(10**5000) itself raises ValueError.
+    for bad in ("abc", None, 1j, object(), 10**400, -10**400, 10**5000, Fraction(10**400)):
         with pytest.raises(DomainError, match=rf"\b{re.escape(field)}\b"):
             _build(value_type, field, bad)
     valid = VALUE_TYPES[value_type][1][field][1]
     for spelled in (str(valid), Fraction(valid)):
         stored = getattr(_build(value_type, field, spelled), field)
         assert (stored[0] if field == "q_axis" else stored) == valid
+
+
+def test_number_beyond_double_range_is_named():
+    with pytest.raises(DomainError, match=r"^mode a: omega is beyond the double range$"):
+        Mode("a", 10**400, 1.0, 1.0)
+    # a Fraction below the double range reads as 0.0, as float() gives it
+    stored = DriveCondition(Fraction(1, 10**400)).pump_power
+    assert stored == 0.0 and type(stored) is float
+
+
+# One instance of each value type: its fields, in order, with valid values.
+_RUN = load_config(str(SHIPPED_FIXTURE))
+VALUE_SAMPLES = {
+    Mode: dict(label="a", omega=1e15, kappa_i=1e7, kappa_ex=2e7),
+    TransducerConfig: dict(mode_a=_DEVICE.mode_a, mode_b=_DEVICE.mode_b,
+                           mode_p=_DEVICE.mode_p, g_eo=250.0),
+    DriveCondition: dict(pump_power=1e-3, pump_detuning=3e7, scheme=Scheme.BLUE),
+    EfficiencyBreakdown: dict(extraction_a=0.5, extraction_b=0.9, cooperativity=1.0,
+                              eta_i=1.0, eta=0.45),
+    HeraldModel: dict(r0=100.0, dt=1e-3, scheme=Scheme.BLUE),
+    HeraldBreakdown: dict(p0=0.9, p1=0.09, p11=0.0081, pmn=0.01, infidelity=0.0181,
+                          scheme=Scheme.BLUE),
+    McEstimate: dict(samples=1000, infidelity_mean=0.01, standard_error=0.003, seed=5),
+    LinearizedSystem: dict(g_eff=1.0, kappa_a_i=2.0, kappa_a_ex=3.0, kappa_b_i=4.0,
+                           kappa_b_ex=5.0, scheme=Scheme.RED),
+    ScatteringPoint: dict(probe_offset=10.0, amplitude_ab=0.1 + 0.2j, amplitude_ba=0.2 - 0.1j,
+                          conversion=0.05),
+    PowerAxis: dict(min_w=1e-7, max_w=1e-3, points=4, spacing="linear"),
+    HeraldOptions: dict(dt=1e-3, r0_mapping="direct", r0_value=100.0),
+    SweepSpec: dict(config=_DEVICE, power_axis=PowerAxis(1e-7, 1e-3, 4), q_axis=(9e6, 9e7),
+                    outputs=("efficiency", "infidelity"), herald_options=_RUN.herald,
+                    pump_detuning=3e7),
+    SweepTable: dict(pump_power_w=[1e-3], q_b=[9e6], n_p=[1.0], cooperativity=[[0.5]],
+                     eta_i=[[0.9]], eta=[[0.4]], infidelity=[[0.01]]),
+    RunConfig: dict(transducer=_RUN.transducer, drive=_RUN.drive, herald=_RUN.herald,
+                    sweep=_RUN.sweep, out_format="jsonl", table_path="out.csv",
+                    plot_path=None, seed=7),
+}
+
+
+def test_value_samples_cover_every_exported_value_type():
+    exported = {getattr(xduce, name) for name in xduce.__all__}
+    value_types = {value for value in exported
+                   if isinstance(value, type) and value.__module__.startswith("xduce.")
+                   and not issubclass(value, (Exception, Enum))}
+    assert value_types | {RunConfig} == set(VALUE_SAMPLES)
+
+
+@pytest.mark.parametrize("value_type", VALUE_SAMPLES, ids=lambda t: t.__name__)
+def test_value_type_contract(value_type):
+    fields = VALUE_SAMPLES[value_type]
+    by_keyword = value_type(**fields)
+    by_position = value_type(*fields.values())
+    assert by_keyword == by_position
+    assert not by_keyword != by_position
+    values = tuple(getattr(by_keyword, name) for name in fields)
+    assert values == tuple(fields.values())
+    try:
+        expected_hash = hash(values)
+    except TypeError:  # a list field: unhashable, like the tuple of the fields
+        with pytest.raises(TypeError):
+            hash(by_keyword)
+    else:
+        assert hash(by_keyword) == hash(by_position) == expected_hash
+    assert repr(by_keyword) == "{}({})".format(
+        value_type.__name__, ", ".join(f"{name}={value!r}" for name, value in fields.items()))
+
+    for name in (*fields, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, name, fields[next(iter(fields))])
+        with pytest.raises(AttributeError):
+            delattr(by_keyword, name)
+    assert tuple(getattr(by_keyword, name) for name in fields) == values
+
+    with pytest.raises(TypeError):
+        value_type(**fields, unknown=1.0)
+    with pytest.raises(TypeError):
+        value_type(*fields.values(), 1.0)
+    with pytest.raises(TypeError):
+        value_type(**dict(list(fields.items())[1:]))
+
+    for other_type, other_fields in VALUE_SAMPLES.items():
+        if other_type is not value_type:
+            other = other_type(**other_fields)
+            assert by_keyword != other and not by_keyword == other
+    assert by_keyword != values and by_keyword != SimpleNamespace(**fields)
+    assert by_keyword.__eq__(values) is NotImplemented
