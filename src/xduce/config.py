@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import configparser
 
-from .core import TWO_PI, DriveCondition, Mode, Scheme, TransducerConfig, _Frozen, q_to_kappa
+from .core import (TWO_PI, DriveCondition, Mode, Scheme, TransducerConfig, _Frozen,
+                   _require_non_negative, q_to_kappa)
 from .errors import ConfigError
 from .sweep import HeraldOptions, PowerAxis, SweepSpec
 
@@ -46,6 +47,8 @@ def _words(raw: str) -> tuple[str, ...]:
 # The kinds of value a field holds: how a rejection names the kind, and the
 # parser, which raises ValueError on a value that is not of the kind.
 _NUMBER = ("a number", float)
+# HeraldOptions calls the herald rate r0_value, so the file's key is checked here
+_NON_NEGATIVE = ("a non-negative number", lambda raw: _require_non_negative(raw, "r0_per_s"))
 _INTEGER = ("an integer", int)
 _WORD = ("a word", lambda raw: raw.strip().lower())
 _WORDS = ("a word list", lambda raw: _words(raw.lower()))
@@ -60,7 +63,7 @@ _SCHEMA = {
     "device": {**{f"{label}_{field}": _NUMBER for label in "abp" for field in _MODE_FIELDS},
                "g_eo_hz": _NUMBER},
     "drive": {"power_w": _NUMBER, "detuning_hz": _NUMBER, "scheme": _WORD},
-    "herald": {"dt_s": _NUMBER, "r0_mapping": (*_WORD, "direct"), "r0_per_s": _NUMBER},
+    "herald": {"dt_s": _NUMBER, "r0_mapping": (*_WORD, "direct"), "r0_per_s": _NON_NEGATIVE},
     "sweep": {"power_min_w": _NUMBER, "power_max_w": _NUMBER, "power_points": _INTEGER,
               "power_spacing": (*_WORD, "log"), "q_values": _NUMBERS,
               "outputs": (*_WORDS, "efficiency,cooperativity")},

@@ -19,6 +19,7 @@ the same footing as the internal efficiency.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 from .errors import DomainError, NoCriticalPointError, UndriveablePumpError
@@ -33,8 +34,7 @@ TWO_PI = 2.0 * math.pi
 # The one scalar check, in three strengths. Each widens the value with
 # float(), through _as_float, so NumPy scalars (float32 included) give float64
 # results, rejects it (or a value float() cannot read) with a DomainError
-# naming the quantity, and returns the float for the caller to rebind, or for
-# _store_checked to store.
+# naming the quantity, and returns the float for the caller to rebind.
 def _as_float(value, name: str) -> float:
     try:
         return float(value)
@@ -69,12 +69,56 @@ def _require_non_negative(value: float, name: str) -> float:
     return value
 
 
-def _store_checked(obj, check, *names: str, prefix: str = "") -> None:
-    """Store each named field of a value type (a :class:`_Frozen`) as
-    ``check(value, prefix + name)``, one of the ``_require_*`` above."""
-    fields = obj.__dict__
-    for name in names:
-        fields[name] = check(fields[name], prefix + name)
+# The rejections below name the type of a bad value rather than repr it: the
+# repr of an int beyond 4300 digits raises.
+def _require_count(value, name: str) -> int:
+    """``value`` as an ``int``: a Python or NumPy integer, not a bool."""
+    if value.__class__ is bool or not hasattr(value, "__index__"):
+        raise DomainError(f"{name} must be an integer, not {type(value).__name__}")
+    return int(value)
+
+
+def _as_tuple(value, name: str) -> tuple:
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be a sequence, not {type(value).__name__}")
+
+
+def _require_positives(value, name: str) -> tuple[float, ...]:
+    return tuple(_require_positive(item, f"{name} value") for item in _as_tuple(value, name))
+
+
+def _require_words(value, name: str) -> tuple[str, ...]:
+    words = _as_tuple(value, name)
+    for word in words:
+        if not isinstance(word, str):
+            raise DomainError(f"{name} must hold words, not {type(word).__name__}")
+    return words
+
+
+def _require_instance(cls: type):
+    """The check of a field annotated with the value type or enum ``cls``."""
+    def check(value, name: str):
+        if isinstance(value, cls):
+            return value
+        raise DomainError(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
+    return check
+
+
+# The kinds a value type's field can declare in its annotation. The first
+# four read as the types they store; a field's check returns what is stored.
+Finite = float
+Positive = float
+NonNegative = float
+Count = int
+_KINDS = {"Finite": _require_finite, "Positive": _require_positive,
+          "NonNegative": _require_non_negative, "Count": _require_count,
+          "tuple[Positive, ...]": _require_positives, "tuple[str, ...]": _require_words}
+# Annotations of fields stored as given, as the result types need.
+_STORED = ("float", "int", "str", "complex")
 
 
 class _Frozen:
@@ -82,24 +126,54 @@ class _Frozen:
     in the subclass body, in order, with their class-level values as
     defaults.
 
+    Each annotation is a string (the package uses postponed annotations), read
+    by name. A field annotated with a kind of :data:`_KINDS`, or with a value
+    type or enum of the defining module, optionally ``| None``, is passed
+    through its check and stored as the check returns it; a rejection raises
+    :class:`DomainError` naming the field, after the class's ``_prefix`` (a
+    format string over the fields), if it has one. A field annotated with one
+    of :data:`_STORED` or ``list[...]`` is stored as given. Any other
+    annotation raises ``TypeError`` when the class is defined.
+
     Each subclass gets an ``__init__``, generated once, that takes the fields
-    by position or keyword, stores them, and then calls the class's
-    ``_check``, if it has one, to validate them (through
-    :func:`_store_checked`). ``==``, ``hash`` and ``repr`` read the fields in
-    order, as those of a frozen dataclass do, and setting or deleting an
-    attribute raises ``AttributeError``.
+    by position or keyword, checks and stores them, and then calls the
+    class's ``_check``, if it has one, for the rules across fields. ``==``,
+    ``hash`` and ``repr`` read the fields in order, as those of a frozen
+    dataclass do, and setting or deleting an attribute raises
+    ``AttributeError``.
     """
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        names = tuple(vars(cls).get("__annotations__", ()))
+        annotations = vars(cls).get("__annotations__", {})
+        scope = vars(sys.modules[cls.__module__])
+        namespace = {"_set": object.__setattr__, "_cls": cls, "_DomainError": DomainError}
+        checks = []
+        for name, annotation in annotations.items():
+            kind = annotation.removesuffix(" | None")
+            named = scope.get(kind)
+            if kind in _KINDS:
+                namespace[f"_check_{name}"] = _KINDS[kind]
+            elif isinstance(named, type) and issubclass(named, (_Frozen, Enum)):
+                namespace[f"_check_{name}"] = _require_instance(named)
+            elif kind in _STORED or kind.startswith("list["):
+                continue
+            else:
+                raise TypeError(f"{cls.__qualname__}.{name}: annotation {annotation!r} "
+                                f"names no field kind")
+            line = f"{name} = _check_{name}({name}, {name!r})"
+            checks.append(line if kind == annotation else f"if {name} is not None: {line}")
+        if checks and hasattr(cls, "_prefix"):
+            checks = ["try:", *(f"    {line}" for line in checks),
+                      "except _DomainError as exc:",
+                      f"    raise _DomainError(f{cls._prefix + '{exc}'!r}) from None"]
         params = ", ".join(f"{name}=_cls.{name}" if name in vars(cls) else name
-                           for name in names)
-        fields = ", ".join(f"{name!r}: {name}" for name in names)
-        source = f"def __init__(self, {params}):\n    _set(self, '__dict__', {{{fields}}})\n"
+                           for name in annotations)
+        fields = ", ".join(f"{name!r}: {name}" for name in annotations)
+        body = [*checks, f"_set(self, '__dict__', {{{fields}}})"]
         if hasattr(cls, "_check"):
-            source += "    self._check()\n"
-        namespace = {"_set": object.__setattr__, "_cls": cls}
+            body.append("self._check()")
+        source = f"def __init__(self, {params}):\n" + "".join(f"    {line}\n" for line in body)
         exec(source, namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -154,16 +228,14 @@ class Mode(_Frozen):
     """
 
     label: str
-    omega: float
-    kappa_i: float
-    kappa_ex: float
+    omega: Positive
+    kappa_i: NonNegative
+    kappa_ex: NonNegative
+    _prefix = "mode {label}: "
 
     def _check(self) -> None:
         if self.label not in ("a", "b", "p"):
             raise DomainError(f"mode label must be 'a', 'b' or 'p', got {self.label!r}")
-        prefix = f"mode {self.label}: "
-        _store_checked(self, _require_positive, "omega", prefix=prefix)
-        _store_checked(self, _require_non_negative, "kappa_i", "kappa_ex", prefix=prefix)
         if self.kappa_i + self.kappa_ex <= 0.0:
             raise DomainError(f"mode {self.label}: total loss rate must be positive")
 
@@ -189,10 +261,9 @@ class TransducerConfig(_Frozen):
     mode_a: Mode
     mode_b: Mode
     mode_p: Mode
-    g_eo: float
+    g_eo: NonNegative
 
     def _check(self) -> None:
-        _store_checked(self, _require_non_negative, "g_eo")
         labels = (self.mode_a.label, self.mode_b.label, self.mode_p.label)
         if labels != ("a", "b", "p"):
             raise DomainError(f"modes must carry labels ('a', 'b', 'p'), got {labels!r}")
@@ -207,13 +278,9 @@ class DriveCondition(_Frozen):
     constraint of its own.
     """
 
-    pump_power: float
-    pump_detuning: float = 0.0
+    pump_power: NonNegative
+    pump_detuning: Finite = 0.0
     scheme: Scheme = Scheme.RED
-
-    def _check(self) -> None:
-        _store_checked(self, _require_non_negative, "pump_power")
-        _store_checked(self, _require_finite, "pump_detuning")
 
 
 class EfficiencyBreakdown(_Frozen):
@@ -255,12 +322,14 @@ def overflow_error(c: float) -> DomainError:
 def _pump_buildup(mode_p: Mode, pump_detuning: float) -> float:
     kp = mode_p.kappa
     pump_detuning = _require_finite(pump_detuning, "pump_detuning")
-    try:
-        buildup = HBAR * mode_p.omega * ((kp / 2.0) ** 2 + pump_detuning**2)
-    except OverflowError:
+    # products, not ** 2: C pow need not round correctly, and scaling every
+    # rate and the power by 4^j must leave n_p the same bits
+    squares = (kp / 2.0) * (kp / 2.0) + pump_detuning * pump_detuning
+    if not math.isfinite(squares):
         raise DomainError(
             f"(kappa_p/2)^2 + delta_p^2 overflows: kappa_p = {kp!r}, delta_p = {pump_detuning!r}"
-        ) from None
+        )
+    buildup = HBAR * mode_p.omega * squares
     if not 0.0 < buildup < math.inf:
         raise DomainError(f"pump buildup hbar * omega_p * ((kappa_p/2)^2 + delta_p^2) must be "
                           f"positive and finite, got {buildup!r}")
@@ -289,10 +358,10 @@ def _coupling(cfg: TransducerConfig) -> tuple[float, float]:
     kappa_ab = cfg.mode_a.kappa * cfg.mode_b.kappa
     if kappa_ab == 0.0:
         raise DomainError("cooperativity undefined: kappa_a * kappa_b is zero")
-    try:
-        return cfg.g_eo**2, kappa_ab
-    except OverflowError:
-        raise DomainError(f"g_eo = {cfg.g_eo!r} is too large: g_eo^2 overflows") from None
+    g_eo_sq = cfg.g_eo * cfg.g_eo
+    if not math.isfinite(g_eo_sq):
+        raise DomainError(f"g_eo = {cfg.g_eo!r} is too large: g_eo^2 overflows")
+    return g_eo_sq, kappa_ab
 
 
 def chain_scalars(cfg: TransducerConfig) -> tuple[float, float, float, float]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Scheme, _Frozen, _require_non_negative, _store_checked
+from .core import NonNegative, Scheme, _Frozen, _require_count, _require_non_negative
 from .errors import DomainError, ModelRegimeError, UsageError
 
 # Upper end of the blue herald model's regime in mu; the breakdown, the
@@ -36,12 +36,11 @@ _BLOCK_SIZE = 1_000_000
 class HeraldModel(_Frozen):
     """Photon generation rate r0 (1/s), window dt (s), and scheme."""
 
-    r0: float
-    dt: float
+    r0: NonNegative
+    dt: NonNegative
     scheme: Scheme
 
     def _check(self) -> None:
-        _store_checked(self, _require_non_negative, "r0", "dt")
         if not math.isfinite(self.r0 * self.dt):
             raise DomainError(f"mu = r0 * dt overflows for r0 = {self.r0!r}, dt = {self.dt!r}")
 
@@ -171,6 +170,8 @@ def mc_blue_infidelity(model: HeraldModel, samples: int, seed: int) -> McEstimat
     """
     if model.scheme is not Scheme.BLUE:
         raise UsageError("mc_blue_infidelity requires a blue-scheme model")
+    samples = _require_count(samples, "samples")
+    seed = _require_count(seed, "seed")
     if samples < 1:
         raise UsageError(f"samples must be at least 1, got {samples}")
     if seed < 0:

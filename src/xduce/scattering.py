@@ -30,8 +30,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .core import (Scheme, TransducerConfig, _Frozen, _require_finite, _require_non_negative,
-                   _store_checked)
+from .core import (NonNegative, Scheme, TransducerConfig, _Frozen, _require_finite,
+                   _require_non_negative)
 from .errors import DomainError, InstabilityError, UsageError
 
 # Residual tolerance of the closed-form 2x2 solve, relative to the data.
@@ -46,16 +46,14 @@ class LinearizedSystem(_Frozen):
     ports are well defined.
     """
 
-    g_eff: float
-    kappa_a_i: float
-    kappa_a_ex: float
-    kappa_b_i: float
-    kappa_b_ex: float
+    g_eff: NonNegative
+    kappa_a_i: NonNegative
+    kappa_a_ex: NonNegative
+    kappa_b_i: NonNegative
+    kappa_b_ex: NonNegative
     scheme: Scheme
 
     def _check(self) -> None:
-        _store_checked(self, _require_non_negative,
-                       "g_eff", "kappa_a_i", "kappa_a_ex", "kappa_b_i", "kappa_b_ex")
         if self.kappa_a <= 0.0 or self.kappa_b <= 0.0:
             raise DomainError("both modes need positive total loss rates")
 

@@ -13,8 +13,8 @@ import math
 from typing import TYPE_CHECKING
 
 from . import core, herald
-from .core import (DriveCondition, Mode, TransducerConfig, _Frozen, _require_finite,
-                   _require_non_negative, _require_positive, _store_checked)
+from .core import (Count, DriveCondition, Finite, Mode, NonNegative, Positive, TransducerConfig,
+                   _Frozen)
 from .errors import BracketingError, DomainError, ModelRegimeError
 
 if TYPE_CHECKING:
@@ -29,19 +29,20 @@ LOG_POINTS_CAP = 2000
 class PowerAxis(_Frozen):
     """Pump power grid: [min_w, max_w] with `points` samples, linear or log."""
 
-    min_w: float
-    max_w: float
-    points: int | None = None
+    min_w: NonNegative
+    max_w: NonNegative
+    points: Count | None = None
     spacing: str = "log"
+    _prefix = "power axis "
 
     def _check(self) -> None:
-        _store_checked(self, _require_non_negative, "min_w", "max_w", prefix="power axis ")
         if self.spacing not in ("linear", "log"):
             raise DomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if not (self.min_w < self.max_w):
-            raise DomainError("power axis needs min < max")
+            raise DomainError(f"power axis needs min_w < max_w, got {self.min_w!r} and "
+                              f"{self.max_w!r}")
         if self.spacing == "log" and self.min_w == 0.0:
-            raise DomainError("log power axis bounds must be positive")
+            raise DomainError(f"log power axis min_w must be positive, got {self.min_w!r}")
         if self.points is not None and not 2 <= self.points <= LOG_POINTS_CAP:
             raise DomainError(
                 f"power axis needs 2 to {LOG_POINTS_CAP} points, got {self.points}")
@@ -71,9 +72,9 @@ class HeraldOptions(_Frozen):
     by the CLI.
     """
 
-    dt: float
+    dt: NonNegative
     r0_mapping: str = "direct"
-    r0_value: float | None = None
+    r0_value: NonNegative | None = None
 
     def _check(self) -> None:
         if self.r0_mapping not in ("direct", "c_kappa_b"):
@@ -82,10 +83,6 @@ class HeraldOptions(_Frozen):
             )
         if self.r0_mapping == "direct" and self.r0_value is None:
             raise DomainError("direct r0 mapping needs r0_value")
-        if self.r0_value is not None:
-            object.__setattr__(
-                self, "r0_value", _require_non_negative(self.r0_value, "r0_value (r0_per_s)"))
-        _store_checked(self, _require_non_negative, "dt")
 
     def rate_for(self, cooperativity, kappa_b: float):
         """r0 (1/s) at a cooperativity: a float, or an array of them."""
@@ -105,20 +102,17 @@ class SweepSpec(_Frozen):
 
     config: TransducerConfig
     power_axis: PowerAxis
-    q_axis: tuple[float, ...]
+    # plain floats, so table cells print as 9000000.0, not np.float64(...)
+    q_axis: tuple[Positive, ...]
     outputs: tuple[str, ...] = ("efficiency", "cooperativity")
     herald_options: HeraldOptions | None = None
-    pump_detuning: float = 0.0
+    pump_detuning: Finite = 0.0
 
     def _check(self) -> None:
-        # plain floats, so table cells print as 9000000.0, not np.float64(...)
-        q_axis = tuple(_require_positive(q, "q_axis value") for q in self.q_axis)
-        if not q_axis:
+        if not self.q_axis:
             raise DomainError("q_axis must not be empty")
-        if len(set(q_axis)) < len(q_axis):
-            raise DomainError(f"q_axis values must be distinct, got {q_axis}")
-        object.__setattr__(self, "q_axis", q_axis)
-        _store_checked(self, _require_finite, "pump_detuning")
+        if len(set(self.q_axis)) < len(self.q_axis):
+            raise DomainError(f"q_axis values must be distinct, got {self.q_axis}")
         allowed = {"efficiency", "cooperativity", "infidelity"}
         unknown = set(self.outputs) - allowed
         if unknown:

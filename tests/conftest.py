@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -68,9 +69,11 @@ def device() -> TransducerConfig:
 
 
 def checked_float_types() -> set:
-    """The exported value types with a float field (by annotation) that
-    check their fields at construction, in ``_check``."""
+    """The exported value types with a float field checked at construction:
+    one annotated with a float kind of ``core`` (``Finite``, ``Positive`` or
+    ``NonNegative``, also inside a tuple or ``| None``)."""
     exported = (getattr(xduce, name) for name in xduce.__all__)
     return {value for value in exported
-            if isinstance(value, type) and issubclass(value, _Frozen) and "_check" in vars(value)
-            and any("float" in annotation for annotation in value.__annotations__.values())}
+            if isinstance(value, type) and issubclass(value, _Frozen)
+            and any(re.search(r"\b(Finite|Positive|NonNegative)\b", annotation)
+                    for annotation in value.__annotations__.values())}

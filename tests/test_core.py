@@ -7,7 +7,7 @@ from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xduce
@@ -269,6 +269,40 @@ class TestConversionEfficiency:
             assert breakdown.eta <= breakdown.eta_i
 
 
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda exponent: 10.0**exponent)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(omegas=st.tuples(*[_log_uniform(1e9, 1e16)] * 3),
+       kappas=st.tuples(*[_log_uniform(1e-3, 1e9)] * 6), g_eo=_log_uniform(1e-3, 1e6),
+       detuning=st.one_of(st.just(0.0), st.floats(-1e9, 1e9)), power=_log_uniform(1e-12, 1.0),
+       j=st.integers(-100, 100))
+# a design whose squares, taken with ** 2 (C pow), lost a bit at 4^2
+@example(omegas=(1584430000000.0, 1028610000000000.0, 1108450000000000.0),
+         kappas=(212.014, 59954.2, 0.00141942, 100.539, 405102000.0, 15329300.0), g_eo=7.53912,
+         detuning=0.0, power=0.000261486, j=2)
+def test_scaling_rates_and_power_by_four_to_the_j_keeps_every_bit(omegas, kappas, g_eo,
+                                                                  detuning, power, j):
+    # n_p and C are ratios of equal powers of the rates and the power, so a
+    # power of two cancels exactly; 4^j keeps each square a power of two
+    def chain(scale):
+        modes = [Mode(label, omega, scale * kappa_i, scale * kappa_ex) for label, omega, kappa_i,
+                 kappa_ex in zip("abp", omegas, kappas[::2], kappas[1::2])]
+        cfg = TransducerConfig(*modes, scale * g_eo)
+        n_p = intracavity_photon_number(cfg.mode_p, DriveCondition(scale * power,
+                                                                   scale * detuning))
+        breakdown = conversion_efficiency(cfg, n_p)
+        return [value.hex() for value in (n_p, breakdown.cooperativity, breakdown.eta)]
+
+    base = chain(1.0)
+    try:
+        scaled = chain(4.0**j)
+    except DomainError:
+        return
+    assert scaled == base
+
+
 class TestCriticalPoints:
     def test_direct_arithmetic(self):
         cfg = SimpleNamespace(
@@ -433,8 +467,8 @@ def test_float32_probe_grid_gives_the_float64_spectrum():
     assert repr(narrow) == repr(conversion_spectrum(sys_, grid.tolist()))
 
 
-# Each value type with numeric fields: the keyword arguments of a valid
-# instance, and per numeric field the check it must pass and a valid value.
+# Each value type with numeric fields: its other fields with valid values,
+# and per numeric field the check it must pass and a valid value.
 _POSITIVE, _NON_NEGATIVE, _FINITE = "positive", "non-negative", "finite"
 _DEVICE = make_device()
 VALUE_TYPES = {
@@ -443,30 +477,36 @@ VALUE_TYPES = {
     TransducerConfig: (dict(mode_a=_DEVICE.mode_a, mode_b=_DEVICE.mode_b,
                             mode_p=_DEVICE.mode_p),
                        {"g_eo": (_NON_NEGATIVE, 250.0)}),
-    DriveCondition: (dict(), {"pump_power": (_NON_NEGATIVE, 1e-3),
-                              "pump_detuning": (_FINITE, 3e7)}),
+    DriveCondition: (dict(scheme=Scheme.RED), {"pump_power": (_NON_NEGATIVE, 1e-3),
+                                               "pump_detuning": (_FINITE, 3e7)}),
     LinearizedSystem: (dict(scheme=Scheme.RED),
                        {"g_eff": (_NON_NEGATIVE, 1.0), "kappa_a_i": (_NON_NEGATIVE, 2.0),
                         "kappa_a_ex": (_NON_NEGATIVE, 3.0), "kappa_b_i": (_NON_NEGATIVE, 4.0),
                         "kappa_b_ex": (_NON_NEGATIVE, 5.0)}),
     HeraldModel: (dict(scheme=Scheme.BLUE), {"r0": (_NON_NEGATIVE, 100.0),
                                              "dt": (_NON_NEGATIVE, 1e-3)}),
-    PowerAxis: (dict(points=4), {"min_w": (_NON_NEGATIVE, 1e-7),
-                                 "max_w": (_NON_NEGATIVE, 1e-3)}),
-    HeraldOptions: (dict(), {"dt": (_NON_NEGATIVE, 1e-3),
-                             "r0_value": (_NON_NEGATIVE, 100.0)}),
+    PowerAxis: (dict(points=4, spacing="log"), {"min_w": (_NON_NEGATIVE, 1e-7),
+                                                "max_w": (_NON_NEGATIVE, 1e-3)}),
+    HeraldOptions: (dict(r0_mapping="direct"), {"dt": (_NON_NEGATIVE, 1e-3),
+                                                "r0_value": (_NON_NEGATIVE, 100.0)}),
     # q_axis holds a tuple of Q values: the drawn value is its one element
-    SweepSpec: (dict(config=_DEVICE, power_axis=PowerAxis(1e-7, 1e-3, points=4)),
+    SweepSpec: (dict(config=_DEVICE, power_axis=PowerAxis(1e-7, 1e-3, points=4),
+                     outputs=("efficiency",), herald_options=HeraldOptions(1e-3, r0_value=100.0)),
                 {"q_axis": (_POSITIVE, 9e6), "pump_detuning": (_FINITE, 3e7)}),
 }
 
 
-def _build(value_type, field, value):
+def _fields(value_type, field, value) -> dict:
+    """The fields of a valid instance, with ``field`` set to ``value``."""
     kwargs, checks = VALUE_TYPES[value_type]
-    values = {name: valid for name, (_, valid) in checks.items()} | {field: value}
+    values = kwargs | {name: valid for name, (_, valid) in checks.items()}
     if "q_axis" in values:
         values["q_axis"] = (values["q_axis"],)
-    return value_type(**kwargs, **values)
+    return values | {field: value}
+
+
+def _build(value_type, field, value):
+    return value_type(**_fields(value_type, field, (value,) if field == "q_axis" else value))
 
 
 @st.composite
@@ -484,6 +524,59 @@ def _field_cases(draw):
 
 def test_value_type_table_covers_every_checked_type():
     assert set(VALUE_TYPES) == checked_float_types()
+    for value_type, (kwargs, checks) in VALUE_TYPES.items():
+        assert {*kwargs, *checks} == set(value_type.__annotations__), value_type
+
+
+# Hostile values for any field: not a number, nothing, complex, a float or
+# str where a count goes, a list or str where a tuple goes, beyond the double
+# range, nan, negative, and a str or int where a value type or enum goes.
+HOSTILE = ("abc", None, 1j, 4.5, "4", [9e6], ["efficiency"], "efficiency", 10**400, math.nan,
+           -1, "red", 7)
+EVERY_FIELD = [(value_type, field) for value_type, (kwargs, checks) in VALUE_TYPES.items()
+               for field in (*kwargs, *checks)]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(EVERY_FIELD),
+       value=st.one_of(st.sampled_from(HOSTILE), st.integers(), st.floats(),
+                       st.text(max_size=4), st.lists(st.floats(), max_size=2)))
+def test_hostile_field_value_gives_an_instance_or_a_named_domain_error(case, value):
+    value_type, field = case
+    try:
+        instance = value_type(**_fields(value_type, field, value))
+    except DomainError as exc:  # any other error fails the test
+        assert re.search(rf"\b{re.escape(field)}\b", str(exc)), (value, exc)
+    else:
+        hash(instance)
+
+
+def test_unknown_field_kind_is_refused_at_class_definition():
+    # a typo must not drop the check; the annotation is a string, as in the package
+    with pytest.raises(TypeError, match=r"_Typo\.rate: annotation 'NonNegativ'"):
+        class _Typo(_Frozen):
+            rate: "NonNegativ"
+    with pytest.raises(TypeError, match="names no field kind"):
+        class _NotAValueType(_Frozen):
+            path: "Path"
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: PowerAxis(1e-7, 1e-3, 4.5, "linear"), "points"),
+    (lambda: PowerAxis(1e-7, 1e-3, "4", "linear"), "points"),
+    (lambda: TransducerConfig(1, 2, 3, 4), "mode_a"),
+    (lambda: LinearizedSystem(10.0, 1.0, 9.0, 1.0, 9.0, "red"), "scheme"),
+    (lambda: DriveCondition(1e-3, 0.0, "blue"), "scheme"),
+])
+def test_field_of_the_wrong_kind_is_named(build, field):
+    with pytest.raises(DomainError, match=rf"\b{field}\b"):
+        build()
+
+
+def test_sweep_spec_stores_its_sequences_as_tuples():
+    spec = SweepSpec(_DEVICE, PowerAxis(1e-7, 1e-3, points=4), [9e6], ["efficiency"])
+    assert spec.q_axis == (9e6,) and spec.outputs == ("efficiency",)
+    assert hash(spec) == hash(SweepSpec(_DEVICE, spec.power_axis, (9e6,), ("efficiency",)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

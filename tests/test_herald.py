@@ -221,6 +221,18 @@ class TestMonteCarlo:
         with pytest.raises(UsageError):
             mc_blue_infidelity(blue_model(0.1), samples=10, seed=-1)
 
+    @pytest.mark.parametrize("argument", ["samples", "seed"])
+    @pytest.mark.parametrize("bad", [10.0, "4", True, None, np.float64(3.0), np.True_])
+    def test_non_integer_count_is_named(self, argument, bad):
+        counts = dict(samples=10, seed=1) | {argument: bad}
+        with pytest.raises(DomainError, match=rf"^{argument} must be an integer"):
+            mc_blue_infidelity(blue_model(0.1), **counts)
+
+    def test_numpy_integer_counts_are_stored_as_int(self):
+        est = mc_blue_infidelity(blue_model(0.1), samples=np.int64(1000), seed=np.uint8(3))
+        assert est == mc_blue_infidelity(blue_model(0.1), samples=1000, seed=3)
+        assert type(est.samples) is int and type(est.seed) is int
+
     def test_red_scheme_rejected(self):
         with pytest.raises(UsageError):
             mc_blue_infidelity(HeraldModel(r0=1.0, dt=0.1, scheme=Scheme.RED), 10, 0)
