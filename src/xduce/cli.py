@@ -6,14 +6,9 @@ SVG), ``herald`` reports the entanglement-heralding probabilities with an
 optional Monte Carlo cross-check, and ``verify`` runs the steady-state
 scattering oracle against the closed-form efficiency.
 
-Exit codes are a stable contract:
-
-    0  success
-    2  malformed configuration
-    3  domain error (inputs outside physical range)
-    4  I/O failure (unreadable config, unwritable output)
-    5  unsupported operation for the given scheme/flags
-    6  verification failure (oracle deviation above tolerance)
+Exit codes are a stable contract: 0 on success, 6 when verification fails
+(oracle deviation above tolerance), and for an error the code, 2 to 5, that
+the table ``_EXIT_CODES`` gives its class.
 """
 
 from __future__ import annotations
@@ -278,32 +273,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit-code contract for errors, in code: each error class (with its
+# subclasses), the code it exits with and the label its message prints under.
+_EXIT_CODES = (
+    (ConfigError, 2, "config error"),
+    (DomainError, 3, "domain error"),
+    (OSError, 4, "i/o error"),
+    (UsageError, 5, "unsupported"),
+)
+
+
 def run_cli(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 4
-    if args.dump_normalized:
-        print(dump_normalized(run))
-    try:
+        if args.dump_normalized:
+            print(dump_normalized(run))
         return _COMMANDS[args.command][0](run, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 3
-    except UsageError as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return 5
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
+    except Exception as exc:
+        for error, code, label in _EXIT_CODES:
+            if isinstance(exc, error):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def main() -> None:

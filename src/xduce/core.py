@@ -78,6 +78,15 @@ def _require_count(value, name: str) -> int:
     return int(value)
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a message, or for an int too long to convert its
+    sign and size."""
+    try:
+        return repr(value)
+    except ValueError:  # beyond the int-to-str digit limit
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 def _as_tuple(value, name: str) -> tuple:
     if not isinstance(value, str):
         try:
@@ -235,7 +244,7 @@ class Mode(_Frozen):
 
     def _check(self) -> None:
         if self.label not in ("a", "b", "p"):
-            raise DomainError(f"mode label must be 'a', 'b' or 'p', got {self.label!r}")
+            raise DomainError(f"mode label must be 'a', 'b' or 'p', got {_shown(self.label)}")
         if self.kappa_i + self.kappa_ex <= 0.0:
             raise DomainError(f"mode {self.label}: total loss rate must be positive")
 

@@ -1,9 +1,8 @@
 """Exception types shared across the package.
 
-The command line front end maps these onto its exit-code contract, so the
-class a failure is raised under is part of the public behaviour:
-``ConfigError`` -> 2, ``DomainError`` (and subclasses) -> 3, I/O -> 4,
-``UsageError`` -> 5, verification failure -> 6.
+The command line front end maps these onto its exit-code contract through
+one table, ``cli._EXIT_CODES``, so the class a failure is raised under is
+part of the public behaviour.
 """
 
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 
-from .core import NonNegative, Scheme, _Frozen, _require_count, _require_non_negative
+from .core import (NonNegative, Scheme, _Frozen, _require_count, _require_non_negative,
+                   _shown)
 from .errors import DomainError, ModelRegimeError, UsageError
 
 # Upper end of the blue herald model's regime in mu; the breakdown, the
@@ -173,9 +174,9 @@ def mc_blue_infidelity(model: HeraldModel, samples: int, seed: int) -> McEstimat
     samples = _require_count(samples, "samples")
     seed = _require_count(seed, "seed")
     if samples < 1:
-        raise UsageError(f"samples must be at least 1, got {samples}")
+        raise UsageError(f"samples must be at least 1, got {_shown(samples)}")
     if seed < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {seed}")
+        raise UsageError(f"seed must be a non-negative integer, got {_shown(seed)}")
     p0, p1 = blue_probabilities(model.mu)[:2]
     total = sum(
         _block_error_count(seed, i, min(_BLOCK_SIZE, samples - i * _BLOCK_SIZE), p0, p0 + p1)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .core import (NonNegative, Scheme, TransducerConfig, _Frozen, _require_finite,
+from .core import (NonNegative, Scheme, TransducerConfig, _Frozen, _as_float, _require_finite,
                    _require_non_negative)
 from .errors import DomainError, InstabilityError, UsageError
 
@@ -149,7 +149,7 @@ def conversion_spectrum(sys: LinearizedSystem, omegas) -> list[ScatteringPoint]:
     sqrt_kb = math.sqrt(sys.kappa_b_ex)
     points = []
     for omega in omegas:
-        omega = float(omega)
+        omega = _as_float(omega, "probe offset")
         # 0.0 - omega, not -omega: a zero offset keeps a +0.0 imaginary part
         m11 = complex(half_a, 0.0 - omega)
         m22 = complex(half_b, 0.0 - omega)

@@ -13,9 +13,9 @@ import math
 from typing import TYPE_CHECKING
 
 from . import core, herald
-from .core import (Count, DriveCondition, Finite, Mode, NonNegative, Positive, TransducerConfig,
-                   _Frozen)
-from .errors import BracketingError, DomainError, ModelRegimeError
+from .core import (Count, DriveCondition, Finite, Mode, NonNegative, Positive, Scheme,
+                   TransducerConfig, _Frozen)
+from .errors import BracketingError, DomainError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,15 +37,16 @@ class PowerAxis(_Frozen):
 
     def _check(self) -> None:
         if self.spacing not in ("linear", "log"):
-            raise DomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
+            raise DomainError(f"spacing must be 'linear' or 'log', got "
+                              f"{core._shown(self.spacing)}")
         if not (self.min_w < self.max_w):
             raise DomainError(f"power axis needs min_w < max_w, got {self.min_w!r} and "
                               f"{self.max_w!r}")
         if self.spacing == "log" and self.min_w == 0.0:
             raise DomainError(f"log power axis min_w must be positive, got {self.min_w!r}")
         if self.points is not None and not 2 <= self.points <= LOG_POINTS_CAP:
-            raise DomainError(
-                f"power axis needs 2 to {LOG_POINTS_CAP} points, got {self.points}")
+            raise DomainError(f"power axis needs 2 to {LOG_POINTS_CAP} points, got "
+                              f"{core._shown(self.points)}")
         if self.points is None and self.spacing == "linear":
             raise DomainError("linear power axis needs an explicit point count")
 
@@ -78,9 +79,8 @@ class HeraldOptions(_Frozen):
 
     def _check(self) -> None:
         if self.r0_mapping not in ("direct", "c_kappa_b"):
-            raise DomainError(
-                f"r0_mapping must be 'direct' or 'c_kappa_b', got {self.r0_mapping!r}"
-            )
+            raise DomainError(f"r0_mapping must be 'direct' or 'c_kappa_b', got "
+                              f"{core._shown(self.r0_mapping)}")
         if self.r0_mapping == "direct" and self.r0_value is None:
             raise DomainError("direct r0 mapping needs r0_value")
 
@@ -158,33 +158,31 @@ def _columns(cfg: TransducerConfig, powers: np.ndarray, n_p: np.ndarray, q_b: fl
              options: HeraldOptions | None) -> tuple:
     """C, eta_i, eta and infidelity (None without ``options``) lists at one
     Q, from the photon numbers ``n_p`` at ``powers``. The first power where
-    the chain fails (a non-finite (1+C)^2 or r0, or mu >= 10) raises, with
-    its coordinates. Infidelity goes through ``math.exp`` like the scalar
+    the chain fails (a non-finite (1+C)^2, or mu not below 10) is run
+    through the scalar API, and its error is raised with the point's
+    coordinates. Infidelity goes through ``math.exp`` like the scalar
     breakdown, once if r0 is fixed."""
     import numpy as np
 
     with np.errstate(all="ignore"):
         c, square, eta_i, eta = core.efficiency_chain(n_p, *core.chain_scalars(cfg))
-        overflow = ~np.isfinite(square)
-        failed = overflow
+        valid = np.isfinite(square)
         if options is not None:
-            r0 = np.broadcast_to(options.rate_for(c, cfg.mode_b.kappa), powers.shape)
-            mu = r0 * options.dt
-            bad_rate = ~(np.isfinite(r0) & (r0 >= 0.0))
-            failed = overflow | bad_rate | (mu >= herald.MAX_POISSON_MEAN)
-    if failed.any():
-        i = int(failed.argmax())
-        where = f"sweep failed at Q_b = {q_b:g}, power = {powers[i]:g} W"
-        if overflow[i]:
-            raise DomainError(f"{where}: {core.overflow_error(float(c[i]))}")
-        if bad_rate[i]:
-            r0_i = float(r0[i])
-            raise DomainError(f"{where}: r0 must be finite and non-negative, got {r0_i!r}")
-        raise ModelRegimeError(f"{where}: mu = {mu[i]:.6g} is outside the herald model "
-                               f"regime (mu < {herald.MAX_POISSON_MEAN:g})")
+            mu = options.rate_for(c, cfg.mode_b.kappa) * options.dt
+            valid &= mu < herald.MAX_POISSON_MEAN  # a nan mu fails it too
+    if not valid.all():
+        i = int(valid.argmin())
+        try:
+            point = core.conversion_efficiency(cfg, n_p[i])
+            model = herald.HeraldModel(options.rate_for(point.cooperativity, cfg.mode_b.kappa),
+                                       options.dt, Scheme.BLUE)
+            herald.blue_probabilities(model.mu)
+        except DomainError as exc:
+            raise type(exc)(f"sweep failed at Q_b = {q_b:g}, power = {powers[i]:g} W: "
+                            f"{exc}") from None
     infidelity = None
     if options is not None and options.r0_mapping == "direct":
-        infidelity = [herald.blue_probabilities(float(mu[0]))[4]] * len(powers)
+        infidelity = [herald.blue_probabilities(mu)[4]] * len(powers)
     elif options is not None:
         infidelity = [herald.blue_probabilities(m)[4] for m in mu.tolist()]
     return c.tolist(), eta_i.tolist(), eta.tolist(), infidelity
@@ -218,11 +216,14 @@ def maximize_efficiency(
     C is linear in the power, so eta(P) peaks exactly at critical coupling,
     C = 1: the optimum is :func:`core.critical_pump_power`. Raises
     :class:`BracketingError` for an invalid bracket or one whose open
-    interval does not hold that power. A device with no optimum raises the
-    critical power's own error: :class:`NoCriticalPointError` for g_eo = 0,
+    interval does not hold that power, and :class:`DomainError` for an end
+    that is not a number. A device with no optimum raises the critical
+    power's own error: :class:`NoCriticalPointError` for g_eo = 0,
     :class:`UndriveablePumpError` for a pump with kappa_ex = 0.
     """
     lo, hi = power_bracket
+    lo = core._as_float(lo, "power bracket low end")
+    hi = core._as_float(hi, "power bracket high end")
     if not (0.0 <= lo < hi):
         raise BracketingError(f"invalid bracket {power_bracket!r}")
     p_opt = core.critical_pump_power(cfg, pump_detuning)

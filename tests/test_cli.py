@@ -547,13 +547,24 @@ class TestExitCodes:
         )
         assert run_cli(["sweep", "--config", write_config(tmp_path, text)]) == 3
 
-    def test_unreadable_config_exits_4(self, tmp_path):
+    def test_unreadable_config_exits_4(self, tmp_path, capsys):
         assert run_cli(["efficiency", "--config", str(tmp_path / "missing.ini")]) == 4
+        assert capsys.readouterr().err.startswith("i/o error: ")
 
     def test_unwritable_table_exits_4(self, tmp_path):
         table = tmp_path / "no" / "such" / "dir" / "out.csv"
         cfg = write_config(tmp_path, GOLDEN_TEMPLATE.format(table=table))
         assert run_cli(["sweep", "--config", cfg]) == 4
+
+    @pytest.mark.parametrize("sub", ["efficiency", "sweep", "herald", "verify"])
+    def test_dump_normalized_to_a_failing_stdout_exits_4(self, capsys, monkeypatch, sub):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert run_cli([sub, "--config", str(SHIPPED_FIXTURE), "--dump-normalized"]) == 4
+        assert capsys.readouterr().err == "i/o error: [Errno 32] Broken pipe\n"
 
     @pytest.mark.parametrize("to_file", [True, False])
     def test_unwritable_plot_leaves_no_output(self, tmp_path, capsys, to_file):

@@ -467,6 +467,28 @@ def test_float32_probe_grid_gives_the_float64_spectrum():
     assert repr(narrow) == repr(conversion_spectrum(sys_, grid.tolist()))
 
 
+# Each call with a scalar argument that widens through core's check, as a
+# function of that argument, and the name its DomainError gives it.
+ARGUMENT_CALLS = {
+    "bracket low end": (lambda v: maximize_efficiency(make_device(), (v, 1.0)),
+                        "power bracket low end"),
+    "bracket high end": (lambda v: maximize_efficiency(make_device(), (1e-9, v)),
+                         "power bracket high end"),
+    "scattering_at": (lambda v: scattering_at(_red_system(float), v), "probe offset"),
+    "conversion_spectrum": (lambda v: conversion_spectrum(_red_system(float), [0.0, v]),
+                            "probe offset"),
+}
+
+
+@pytest.mark.parametrize("bad", ["abc", None, 1j, object(), 10**400, -10**5000],
+                         ids=["str", "None", "complex", "object", "1e400", "-1e5000"])
+@pytest.mark.parametrize("call, name", ARGUMENT_CALLS.values(), ids=ARGUMENT_CALLS.keys())
+def test_hostile_scalar_argument_is_named(call, name, bad):
+    # float() raises a bare TypeError, ValueError or OverflowError for these
+    with pytest.raises(DomainError, match=rf"^{name} (must be a number|is beyond the double)"):
+        call(bad)
+
+
 # Each value type with numeric fields: its other fields with valid values,
 # and per numeric field the check it must pass and a valid value.
 _POSITIVE, _NON_NEGATIVE, _FINITE = "positive", "non-negative", "finite"
@@ -530,9 +552,10 @@ def test_value_type_table_covers_every_checked_type():
 
 # Hostile values for any field: not a number, nothing, complex, a float or
 # str where a count goes, a list or str where a tuple goes, beyond the double
-# range, nan, negative, and a str or int where a value type or enum goes.
-HOSTILE = ("abc", None, 1j, 4.5, "4", [9e6], ["efficiency"], "efficiency", 10**400, math.nan,
-           -1, "red", 7)
+# range, too long for str(), nan, negative, and a str or int where a value
+# type or enum goes.
+HOSTILE = ("abc", None, 1j, 4.5, "4", [9e6], ["efficiency"], "efficiency", 10**400, 10**5000,
+           -10**5000, math.nan, -1, "red", 7)
 EVERY_FIELD = [(value_type, field) for value_type, (kwargs, checks) in VALUE_TYPES.items()
                for field in (*kwargs, *checks)]
 
@@ -549,6 +572,17 @@ def test_hostile_field_value_gives_an_instance_or_a_named_domain_error(case, val
         assert re.search(rf"\b{re.escape(field)}\b", str(exc)), (value, exc)
     else:
         hash(instance)
+
+
+@pytest.mark.parametrize("case", EVERY_FIELD, ids=lambda case: f"{case[0].__name__}.{case[1]}")
+def test_int_too_long_for_str_gives_an_instance_or_a_named_domain_error(case):
+    # the hostile cases every field meets, where the property may draw only some
+    value_type, field = case
+    for value in (10**5000, -10**5000):
+        try:
+            value_type(**_fields(value_type, field, value))
+        except DomainError as exc:  # any other error fails the test
+            assert re.search(rf"\b{re.escape(field)}\b", str(exc)), exc
 
 
 def test_unknown_field_kind_is_refused_at_class_definition():

@@ -216,10 +216,17 @@ class TestMonteCarlo:
     def test_zero_samples_rejected(self):
         with pytest.raises(UsageError):
             mc_blue_infidelity(blue_model(0.1), samples=0, seed=0)
+        # str() of an int beyond 4300 digits raises, so the message gives its size
+        with pytest.raises(UsageError, match="^samples must be at least 1, got a negative "
+                                             "integer of 16610 bits$"):
+            mc_blue_infidelity(blue_model(0.1), samples=-10**5000, seed=0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(UsageError):
             mc_blue_infidelity(blue_model(0.1), samples=10, seed=-1)
+        with pytest.raises(UsageError, match="^seed must be a non-negative integer, got a "
+                                             "negative integer of 16610 bits$"):
+            mc_blue_infidelity(blue_model(0.1), samples=10, seed=-10**5000)
 
     @pytest.mark.parametrize("argument", ["samples", "seed"])
     @pytest.mark.parametrize("bad", [10.0, "4", True, None, np.float64(3.0), np.True_])
