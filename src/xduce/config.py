@@ -151,7 +151,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:  # a syntax error, or not UTF-8
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     for name in parser.sections():
         if name not in _SCHEMA:

@@ -148,8 +148,8 @@ class _Frozen:
     by position or keyword, checks and stores them, and then calls the
     class's ``_check``, if it has one, for the rules across fields. ``==``,
     ``hash`` and ``repr`` read the fields in order, as those of a frozen
-    dataclass do, and setting or deleting an attribute raises
-    ``AttributeError``.
+    dataclass do (``repr`` shows an int too long for ``str()`` by its size),
+    and setting or deleting an attribute raises ``AttributeError``.
     """
 
     def __init_subclass__(cls) -> None:
@@ -196,7 +196,7 @@ class _Frozen:
         return hash(tuple(self.__dict__.values()))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        fields = ", ".join(f"{name}={_shown(value)}" for name, value in self.__dict__.items())
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:

@@ -98,16 +98,8 @@ def build_linearized(
     )
 
 
-def _check_residual(m11, m12, m21, m22, x1, x2, r1, r2) -> None:
-    """Raise if (x1, x2) does not solve M x = (r1, r2) to _RESIDUAL_RTOL."""
-    scale = max(abs(r1), abs(r2)) + (abs(m11) + abs(m12) + abs(m21) + abs(m22)) * (
-        abs(x1) + abs(x2)
-    )
-    res = max(abs(m11 * x1 + m12 * x2 - r1), abs(m21 * x1 + m22 * x2 - r2))
-    if res > _RESIDUAL_RTOL * scale:
-        raise ArithmeticError(
-            f"2x2 residual {res:.3e} exceeds {_RESIDUAL_RTOL:.1e} * {scale:.3e}"
-        )
+def _residual_error(res: float, scale: float) -> ArithmeticError:
+    return ArithmeticError(f"2x2 residual {res:.3e} exceeds {_RESIDUAL_RTOL:.1e} * {scale:.3e}")
 
 
 def blue_unstable(sys: LinearizedSystem) -> bool:
@@ -145,6 +137,7 @@ def conversion_spectrum(sys: LinearizedSystem, omegas) -> list[ScatteringPoint]:
     half_b = sys.kappa_b / 2.0
     m12 = 1j * sys.g_eff
     m21 = m12 if sys.scheme is Scheme.RED else -1j * sys.g_eff
+    abs_m12, abs_m21 = abs(m12), abs(m21)
     sqrt_ka = math.sqrt(sys.kappa_a_ex)
     sqrt_kb = math.sqrt(sys.kappa_b_ex)
     points = []
@@ -158,20 +151,23 @@ def conversion_spectrum(sys: LinearizedSystem, omegas) -> list[ScatteringPoint]:
             _require_finite(omega, "probe offset")
             raise DomainError(f"2x2 steady-state determinant is {det!r}: the loss rates and "
                               f"coupling are beyond double range")
+        # |M| of both residual checks; max|r| is each drive's one nonzero input
+        norm = abs(m11) + abs_m12 + abs_m21 + abs(m22)
         # drive port a with input sqrt(ka_ex): out_b = sqrt(kb_ex) * x_b
         xa, xb = m22 * sqrt_ka / det, -m21 * sqrt_ka / det
-        _check_residual(m11, m12, m21, m22, xa, xb, sqrt_ka, 0.0)
+        res = max(abs(m11 * xa + m12 * xb - sqrt_ka), abs(m21 * xa + m22 * xb - 0.0))
+        scale = sqrt_ka + norm * (abs(xa) + abs(xb))
+        if res > _RESIDUAL_RTOL * scale:
+            raise _residual_error(res, scale)
         amplitude_ba = sqrt_kb * xb
         # drive port b with input sqrt(kb_ex): out_a = sqrt(ka_ex) * x_a
         xa, xb = -m12 * sqrt_kb / det, m11 * sqrt_kb / det
-        _check_residual(m11, m12, m21, m22, xa, xb, 0.0, sqrt_kb)
+        res = max(abs(m11 * xa + m12 * xb - 0.0), abs(m21 * xa + m22 * xb - sqrt_kb))
+        scale = sqrt_kb + norm * (abs(xa) + abs(xb))
+        if res > _RESIDUAL_RTOL * scale:
+            raise _residual_error(res, scale)
         amplitude_ab = sqrt_ka * xa
-        points.append(ScatteringPoint(
-            probe_offset=omega,
-            amplitude_ab=amplitude_ab,
-            amplitude_ba=amplitude_ba,
-            conversion=abs(amplitude_ba) ** 2,
-        ))
+        points.append(ScatteringPoint(omega, amplitude_ab, amplitude_ba, abs(amplitude_ba) ** 2))
     return points
 
 

@@ -221,7 +221,10 @@ def maximize_efficiency(
     power's own error: :class:`NoCriticalPointError` for g_eo = 0,
     :class:`UndriveablePumpError` for a pump with kappa_ex = 0.
     """
-    lo, hi = power_bracket
+    try:
+        lo, hi = power_bracket
+    except (TypeError, ValueError):  # not iterable, or not two items
+        raise BracketingError("invalid bracket: not a (low, high) pair") from None
     lo = core._as_float(lo, "power bracket low end")
     hi = core._as_float(hi, "power bracket high end")
     if not (0.0 <= lo < hi):

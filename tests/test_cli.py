@@ -799,6 +799,17 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path):
+    # a UTF-16 file starts with the bytes ff fe, which UTF-8 cannot decode
+    cfg = tmp_path / "utf16.ini"
+    cfg.write_bytes(SHIPPED_FIXTURE.read_text().encode("utf-16"))
+    proc = fresh_python("-m", "xduce.cli", "efficiency", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert f"cannot parse {cfg}: 'utf-8' codec can't decode byte 0xff" in proc.stderr
+
+
 def test_module_run_verifies():
     # python -m xduce.cli runs the command line like the xduce script does
     proc = fresh_python("-m", "xduce.cli", "verify", "--config", str(SHIPPED_FIXTURE))

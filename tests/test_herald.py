@@ -228,6 +228,13 @@ class TestMonteCarlo:
                                              "negative integer of 16610 bits$"):
             mc_blue_infidelity(blue_model(0.1), samples=10, seed=-10**5000)
 
+    def test_estimate_with_a_huge_seed_has_a_repr(self):
+        # str() of an int beyond 4300 digits raises, so repr gives its size
+        est = mc_blue_infidelity(blue_model(0.1), samples=10, seed=10**5000)
+        assert est.seed == 10**5000
+        assert repr(est).endswith(", seed=an integer of 16610 bits)")
+        assert repr(est).startswith(f"McEstimate(samples=10, infidelity_mean={est.infidelity_mean!r}")
+
     @pytest.mark.parametrize("argument", ["samples", "seed"])
     @pytest.mark.parametrize("bad", [10.0, "4", True, None, np.float64(3.0), np.True_])
     def test_non_integer_count_is_named(self, argument, bad):

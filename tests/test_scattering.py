@@ -1,5 +1,7 @@
 import cmath
+import hashlib
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from xduce import (
     parametric_threshold,
     scattering_at,
 )
+from xduce import scattering
 from xduce.config import load_config
 from xduce.scattering import blue_unstable
 from conftest import TWO_PI, make_device
@@ -381,3 +384,56 @@ def test_verify_pipeline_from_drive(device):
     eta = conversion_efficiency(device, n_p).eta
     conv = scattering_at(build_linearized(device, n_p), 0.0).conversion
     assert conv == pytest.approx(eta, rel=1e-9)
+
+
+def drawn_spectra(seed, count):
+    """``repr`` of each drawn system's 8-probe spectrum, or ``Class: message``
+    of what it raises. Half the red and blue systems draw each rate and probe
+    offset from 2^-498..2^499 (about 1e-150..1e150) on its own, half within
+    2^+-30 of a common scale from 2^-620 (about 1e-187) to 2^499; one rate in
+    20 is 0, and one system in 50 has an infinite, nan or non-numeric offset.
+    Rates are exact binary draws, so the inputs depend on no libm function."""
+    rng = random.Random(seed)
+
+    def rate(exponent):
+        return 0.0 if rng.random() < 0.05 else math.ldexp(0.5 + rng.random(), exponent)
+
+    for _ in range(count):
+        wide = rng.random() < 0.5
+        base = rng.randint(-620, 498)
+
+        def exponent():
+            return rng.randint(-498, 498) if wide else base + rng.randint(-30, 30)
+
+        rates = [rate(exponent()) for _ in range(5)]
+        rates[2] = rates[2] or math.ldexp(1.0, base)  # kappa_a > 0
+        rates[4] = rates[4] or math.ldexp(1.0, base)  # kappa_b > 0
+        scheme = Scheme.RED if rng.random() < 0.5 else Scheme.BLUE
+        omegas = [0.0] + [rng.choice((-1.0, 1.0)) * rate(exponent()) for _ in range(7)]
+        if rng.random() < 0.02:
+            omegas[rng.randrange(8)] = rng.choice((math.inf, -math.inf, math.nan, "x"))
+        try:
+            yield repr(conversion_spectrum(LinearizedSystem(*rates, scheme), omegas))
+        except (ArithmeticError, DomainError, InstabilityError) as exc:
+            yield f"{type(exc).__name__}: {exc}"
+
+
+def test_spectrum_bits_are_pinned():
+    # 3000 systems: 2335 solve, 535 are unstable blue systems, 108 have a bad
+    # offset or a determinant beyond double range, and 22 fail the residual
+    # check (rates near 1e-170 make the determinant subnormal). The digest was
+    # taken with CPython 3.11 on x86-64 Linux from the kernel that checked each
+    # residual in a helper call; any change to a bit, class or message shows.
+    lines = list(drawn_spectra(18, 3000))
+    assert sum(line.startswith("ArithmeticError: 2x2 residual") for line in lines) == 22
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "e9215090076a2036d80d9673882b8846861b56876c6d4bd232ba962da5484efa"
+
+
+@pytest.mark.parametrize("scheme", [Scheme.RED, Scheme.BLUE])
+def test_residual_check_still_runs(device, monkeypatch, scheme):
+    sys_ = build_linearized(device, 1e2, scheme)
+    conversion_spectrum(sys_, [0.0, 1e3])
+    monkeypatch.setattr(scattering, "_RESIDUAL_RTOL", -1.0)
+    with pytest.raises(ArithmeticError, match="2x2 residual .* exceeds -1.0e\\+00 \\* "):
+        conversion_spectrum(sys_, [0.0, 1e3])

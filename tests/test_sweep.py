@@ -288,6 +288,11 @@ class TestMaximizeEfficiency:
         with pytest.raises(BracketingError):
             maximize_efficiency(device, (p_star / 1000.0, p_star / 10.0))
 
+    @pytest.mark.parametrize("bracket", [[1e-9, 1e-3, 1.0], (1e-3,), 1e-3, None])
+    def test_bracket_that_is_not_a_pair_rejected(self, device, bracket):
+        with pytest.raises(BracketingError, match=r"^invalid bracket: not a \(low, high\) pair$"):
+            maximize_efficiency(device, bracket)
+
     def test_golden_section_iteration_budget(self, device):
         p_star = critical_pump_power(device)
 
