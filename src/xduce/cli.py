@@ -26,8 +26,8 @@ from .errors import ConfigError, DomainError, UsageError
 
 VERIFY_TOLERANCE = 1e-9
 VERIFY_PROBES = 32
-# A 1M-trial MC block takes about 17 ms (about 60M trials/s), so the largest
-# `herald --mc` runs for about 17 s, where a mistyped count could run for days.
+# A 1M-trial MC block takes about 14 ms (about 70M trials/s), so the largest
+# `herald --mc` runs for about 14 s, where a mistyped count could run for days.
 MC_SAMPLES_CAP = 10**9
 
 SWEEP_HEADER = "pump_power_w,q_b,n_p,cooperativity,eta_internal,eta,infidelity"
@@ -278,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 _EXIT_CODES = (
     (ConfigError, 2, "config error"),
     (DomainError, 3, "domain error"),
+    (ArithmeticError, 3, "domain error"),  # the 2x2 solver's residual check
     (OSError, 4, "i/o error"),
     (UsageError, 5, "unsupported"),
 )

@@ -79,12 +79,14 @@ def _require_count(value, name: str) -> int:
 
 
 def _shown(value) -> str:
-    """``repr(value)`` for a message, or for an int too long to convert its
-    sign and size."""
+    """``repr(value)`` for a message; for a value whose repr raises, such as
+    an int too long to convert, its sign and size, or else its type."""
     try:
         return repr(value)
     except ValueError:  # beyond the int-to-str digit limit
-        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too large to show"
 
 
 def _as_tuple(value, name: str) -> tuple:

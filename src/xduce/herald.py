@@ -33,6 +33,10 @@ MAX_POISSON_MEAN = 10.0
 # sees: changing it would change every estimate for a given seed.
 _BLOCK_SIZE = 1_000_000
 
+# Raw words drawn per cavity at a time within a block: 256 KB of uint64 each,
+# so a block's working set stays in cache. Any size gives the same counts.
+_CHUNK_WORDS = 2**15
+
 
 class HeraldModel(_Frozen):
     """Photon generation rate r0 (1/s), window dt (s), and scheme."""
@@ -147,14 +151,36 @@ def storage_loss_infidelity(kappa_b_i: float, hold_time: float) -> float:
 def _block_error_count(seed: int, block: int, n: int, f0: float, f1: float) -> int:
     """Error events among n trials of one block, drawn from the (seed, block)
     stream. Each cavity's uniform u stands for its photon count: u >= f0 = P0
-    means at least one photon, u >= f1 = P0 + P1 at least two."""
+    means at least one photon, u >= f1 = P0 + P1 at least two; 0 < f0 <= f1.
+
+    Trial i reads cavity a's uniform from word i and cavity b's from word
+    n + i of the raw Philox stream: ``u_a`` is words [0, n) and ``u_b`` words
+    [n, 2n), the values ``Generator.random(n)`` twice would give. NumPy keeps
+    a bit generator's raw words stable across versions, not its ``Generator``
+    methods. ``random()`` turns a word r into ``(r >> 11) * 2**-53``, so
+    ``u >= f`` holds exactly when ``r >= ceil(f * 2**53) << 11``; the words
+    are compared as integers, in chunks of ``_CHUNK_WORDS`` per cavity.
+    """
     import numpy as np
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
-    u_a = rng.random(n)
-    u_b = rng.random(n)
-    errors = ((u_a >= f0) & (u_b >= f0)) | (u_a >= f1) | (u_b >= f1)
-    return int(np.count_nonzero(errors))
+    stream = np.random.SeedSequence((seed, block))
+    words_a = np.random.Philox(stream)
+    words_b = np.random.Philox(stream)
+    words_b.advance(n // 4)  # 4 words per counter step
+    words_b.random_raw(n % 4)
+    # r >= k << 11 as r > (k << 11) - 1, which fits uint64 also for
+    # k = 2**53, the f that rounds to 1 and so is never reached
+    t0, t1 = (np.uint64((min(math.ceil(f * 2.0**53), 2**53) << 11) - 1) for f in (f0, f1))
+    errors = 0
+    for start in range(0, n, _CHUNK_WORDS):
+        m = min(_CHUNK_WORDS, n - start)
+        r_a = words_a.random_raw(m)
+        r_b = words_b.random_raw(m)
+        # both cavities hold a photon, or either holds two
+        hit = np.minimum(r_a, r_b) > t0
+        hit |= np.maximum(r_a, r_b, out=r_a) > t1
+        errors += int(np.count_nonzero(hit))
+    return errors
 
 
 def mc_blue_infidelity(model: HeraldModel, samples: int, seed: int) -> McEstimate:

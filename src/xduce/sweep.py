@@ -228,10 +228,10 @@ def maximize_efficiency(
     lo = core._as_float(lo, "power bracket low end")
     hi = core._as_float(hi, "power bracket high end")
     if not (0.0 <= lo < hi):
-        raise BracketingError(f"invalid bracket {power_bracket!r}")
+        raise BracketingError(f"invalid bracket {core._shown(power_bracket)}")
     p_opt = core.critical_pump_power(cfg, pump_detuning)
     if not lo < p_opt < hi:
         raise BracketingError(f"the optimum P* = {p_opt!r} W is outside the bracket "
-                              f"{power_bracket!r}")
+                              f"{core._shown(power_bracket)}")
     n_p = core.photon_number(cfg.mode_p, p_opt, pump_detuning)
     return p_opt, core.conversion_efficiency(cfg, n_p).eta

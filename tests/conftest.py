@@ -77,3 +77,16 @@ def checked_float_types() -> set:
             if isinstance(value, type) and issubclass(value, _Frozen)
             and any(re.search(r"\b(Finite|Positive|NonNegative)\b", annotation)
                     for annotation in value.__annotations__.values())}
+
+
+def reference_block_error_count(seed: int, block: int, n: int, f0: float, f1: float) -> int:
+    """Error events among n trials of one MC block, drawn the direct way: two
+    whole arrays of ``Generator.random`` doubles from the (seed, block) Philox
+    stream, ``u_a`` first and then ``u_b``. An oracle for the sampler's bits."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
+    u_a = rng.random(n)
+    u_b = rng.random(n)
+    errors = ((u_a >= f0) & (u_b >= f0)) | (u_a >= f1) | (u_b >= f1)
+    return int(np.count_nonzero(errors))

@@ -810,6 +810,23 @@ def test_config_that_is_not_utf8_exits_2(tmp_path):
     assert f"cannot parse {cfg}: 'utf-8' codec can't decode byte 0xff" in proc.stderr
 
 
+def test_verify_residual_failure_exits_3(tmp_path):
+    # with every rate near 1e-160 Hz the 2x2 solve fails its residual
+    # check, an ArithmeticError: a domain error, not a traceback
+    text = SHIPPED_FIXTURE.read_text()
+    for key, value in (("a_kappa_i_hz", "2.30525e-161"), ("a_kappa_ex_hz", "5.54244e-162"),
+                       ("b_kappa_i_hz", "1.54768e-163"), ("b_kappa_ex_hz", "9.91374e-169"),
+                       ("p_kappa_i_hz", "5.4312e-158"), ("p_kappa_ex_hz", "6.17442e-153"),
+                       ("g_eo_hz", "3.10095e-240"), ("power_w", "5.59361e-14")):
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert count == 1
+    proc = fresh_python("-m", "xduce.cli", "verify", "--config", write_config(tmp_path, text))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("domain error: 2x2 residual")
+    assert "Traceback" not in proc.stderr
+
+
 def test_module_run_verifies():
     # python -m xduce.cli runs the command line like the xduce script does
     proc = fresh_python("-m", "xduce.cli", "verify", "--config", str(SHIPPED_FIXTURE))

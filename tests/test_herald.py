@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from xduce import (
@@ -16,6 +19,9 @@ from xduce import (
     red_breakdown,
     storage_loss_infidelity,
 )
+from xduce import herald
+from xduce.herald import blue_probabilities
+from conftest import reference_block_error_count
 
 # High-precision references for mu = 0.1, evaluated with 50-digit decimal
 # arithmetic during development and frozen here.
@@ -63,6 +69,18 @@ FROZEN_MC = {
     (9.99, 0, 100_000): (1.0, 0.0),
     (9.99, 7, 100_000): (1.0, 0.0),
     (9.99, 2147483647, 100_000): (1.0, 0.0),
+    # P0 + P1 rounds to 1 while P0 does not
+    (1e-09, 0, 100_000): (0.0, 0.0),
+    (1e-09, 7, 100_000): (0.0, 0.0),
+    # the last block's 2n words are not a whole number of Philox counter steps
+    (0.3, 1, 1_000_003): (0.12147163558509325, 0.0003266742473799362),
+    (2.0, 9, 1_000_003): (0.9086052741841775, 0.0002881693318619202),
+    (0.3, 2, 2_000_001): (0.12192293903853048, 0.0002313630653050928),
+    # blocks that are not a multiple of any power-of-two chunk size
+    (0.01, 3, 65_537): (0.00018310267482490807, 5.2852753161734234e-05),
+    (0.3, 4, 65_537): (0.12298396325739659, 0.0012828859365809414),
+    (2.0, 5, 131_071): (0.9079659116051606, 0.0007984679337239532),
+    (0.3, 6, 131_071): (0.12230012741186075, 0.0009049713340693008),
 }
 
 
@@ -199,6 +217,34 @@ class TestMonteCarlo:
         est = mc_blue_infidelity(blue_model(mu), samples=samples, seed=seed)
         assert est == McEstimate(samples=samples, infidelity_mean=mean,
                                  standard_error=stderr, seed=seed)
+
+    @pytest.mark.parametrize("chunk", [herald._CHUNK_WORDS, 7])
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**64), block=st.integers(0, 10**4), n=st.integers(1, 70_000),
+           mu=st.floats(0.0, 10.0, exclude_max=True) | st.floats(1e-12, 1e-6))
+    @example(seed=0, block=0, n=1, mu=0.0)
+    @example(seed=7, block=3, n=65_537, mu=1e-9)
+    def test_block_counts_match_whole_array_draws(self, chunk, seed, block, n, mu):
+        # the raw words, compared as integers chunk by chunk, count the same
+        # errors as two whole arrays of Generator.random doubles
+        p0, p1 = blue_probabilities(mu)[:2]
+        expected = reference_block_error_count(seed, block, n, p0, p0 + p1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(herald, "_CHUNK_WORDS", chunk)
+            assert herald._block_error_count(seed, block, n, p0, p0 + p1) == expected
+
+    def test_block_working_memory_is_bounded(self):
+        # numpy reports its buffers to tracemalloc, so the peak is
+        # deterministic; a block's two whole arrays of doubles alone are 16 MB
+        model = blue_model(0.3)
+        mc_blue_infidelity(model, samples=1_000_000, seed=1)  # imports and caches
+        tracemalloc.start()
+        try:
+            mc_blue_infidelity(model, samples=1_000_000, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_against_truncated_sum(self):
         mu = 0.01

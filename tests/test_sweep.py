@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -283,10 +284,30 @@ class TestMaximizeEfficiency:
 
     def test_bracket_excluding_optimum_rejected(self, device):
         p_star = critical_pump_power(device)
-        with pytest.raises(BracketingError):
-            maximize_efficiency(device, (p_star * 10.0, p_star * 1000.0))
+        bracket = (p_star * 10.0, p_star * 1000.0)
+        with pytest.raises(BracketingError) as caught:
+            maximize_efficiency(device, bracket)
+        # an ordinary bracket is shown by its repr
+        assert str(caught.value) == (f"the optimum P* = {p_star!r} W is outside the bracket "
+                                     f"{bracket!r}")
         with pytest.raises(BracketingError):
             maximize_efficiency(device, (p_star / 1000.0, p_star / 10.0))
+        with pytest.raises(BracketingError, match=r"^invalid bracket \[0\.1, 0\.01\]$"):
+            maximize_efficiency(device, [0.1, 0.01])
+
+    @pytest.mark.parametrize("bracket, message", [
+        # out of order
+        ((Fraction(10**5000 + 1, 10**5000), Fraction(1, 10)), "invalid bracket"),
+        # in order, about 1 W to 2 W, so P* (about 57 uW) is below it
+        ((Fraction(10**5000 + 1, 10**5000), Fraction(2)), "the optimum P* = "),
+    ])
+    def test_bracket_too_large_to_show_rejected(self, device, bracket, message):
+        # repr of a Fraction beyond the int-to-str digit limit raises
+        # ValueError, so the message gives the bracket's type
+        with pytest.raises(BracketingError) as caught:
+            maximize_efficiency(device, bracket)
+        assert str(caught.value).startswith(message)
+        assert str(caught.value).endswith(" bracket a tuple too large to show")
 
     @pytest.mark.parametrize("bracket", [[1e-9, 1e-3, 1.0], (1e-3,), 1e-3, None])
     def test_bracket_that_is_not_a_pair_rejected(self, device, bracket):
