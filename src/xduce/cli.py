@@ -26,8 +26,9 @@ from .errors import ConfigError, DomainError, UsageError
 
 VERIFY_TOLERANCE = 1e-9
 VERIFY_PROBES = 32
-# A 1M-trial MC block takes about 14 ms (about 70M trials/s), so the largest
-# `herald --mc` runs for about 14 s, where a mistyped count could run for days.
+# A 1M-trial MC block takes about 11.5 ms on two cores (about 87M trials/s), so
+# the largest `herald --mc` runs for about 11.5 s, where a mistyped count could
+# run for days.
 MC_SAMPLES_CAP = 10**9
 
 SWEEP_HEADER = "pump_power_w,q_b,n_p,cooperativity,eta_internal,eta,infidelity"
@@ -206,6 +207,13 @@ def cmd_verify(run: RunConfig, args) -> int:
     eta = breakdown.eta
     red_sys = scattering.build_linearized(cfg, n_p, Scheme.RED)
     conversion = scattering.scattering_at(red_sys, 0.0).conversion
+    for name, value in (("eta", eta), ("the oracle's conversion", conversion)):
+        if 0.0 < value < sys.float_info.min:
+            raise DomainError(
+                f"{name} = {value!r} is subnormal: a subnormal double carries fewer "
+                f"than 9 significant digits, so it cannot carry the "
+                f"{VERIFY_TOLERANCE:g} agreement"
+            )
     if eta > 0.0:
         deviation = abs(conversion - eta) / eta
     else:

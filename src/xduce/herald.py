@@ -33,9 +33,11 @@ MAX_POISSON_MEAN = 10.0
 # sees: changing it would change every estimate for a given seed.
 _BLOCK_SIZE = 1_000_000
 
-# Raw words drawn per cavity at a time within a block: 256 KB of uint64 each,
-# so a block's working set stays in cache. Any size gives the same counts.
-_CHUNK_WORDS = 2**15
+# Trials per chunk, the unit the two threads of a block claim: 128 KB of
+# uint64 words per cavity, so both threads' working sets stay in cache
+# (32k-trial chunks had glibc return and fault back thousands of pages per
+# block). Any size gives the same counts.
+_CHUNK_WORDS = 2**14
 
 
 class HeraldModel(_Frozen):
@@ -148,6 +150,58 @@ def storage_loss_infidelity(kappa_b_i: float, hold_time: float) -> float:
     return -math.expm1(-kappa_b_i * hold_time)
 
 
+def _word_thresholds(f0: float, f1: float):
+    """The uint64 words T0, T1 with r > T exactly when u >= f."""
+    import numpy as np
+
+    # r >= k << 11 as r > (k << 11) - 1, which fits uint64 also for
+    # k = 2**53, the f that rounds to 1 and so is never reached
+    return tuple(np.uint64((min(math.ceil(f * 2.0**53), 2**53) << 11) - 1) for f in (f0, f1))
+
+
+def _seek(bits, at: int, word: int) -> None:
+    """Move the Philox cursor bits from word at to word, at <= word. A
+    cursor at word ``at`` has taken ceil(at / 4) counter steps of 4 words and
+    buffers the rest of the last one; ``advance`` drops that buffer."""
+    taken = -(-at // 4)
+    if word < 4 * taken:
+        bits.random_raw(word - at)
+    else:
+        bits.advance(word // 4 - taken)
+        bits.random_raw(word % 4)
+
+
+def _count_claimed(stream, starts, n: int, t0, t1) -> int:
+    """Errors among the chunks of an n-trial block that this thread claims.
+
+    ``starts`` yields chunk starts in increasing order and is shared by the
+    block's threads; ``next`` on it is one call under the GIL, so each chunk
+    goes to exactly one thread. This thread's cursor pair on ``stream`` only
+    moves forward: to word s for cavity a and n + s for cavity b, skipping
+    the chunks the other thread took.
+    """
+    import numpy as np
+
+    words_a = np.random.Philox(stream)
+    words_b = np.random.Philox(stream)
+    _seek(words_b, 0, n)
+    at = 0  # the trial both cursors stand at
+    errors = 0
+    for start in iter(lambda: next(starts, None), None):
+        if start != at:
+            _seek(words_a, at, start)
+            _seek(words_b, n + at, n + start)
+        m = min(_CHUNK_WORDS, n - start)
+        at = start + m
+        r_a = words_a.random_raw(m)
+        r_b = words_b.random_raw(m)
+        # both cavities hold a photon, or either holds two
+        hit = np.minimum(r_a, r_b) > t0
+        hit |= np.maximum(r_a, r_b, out=r_a) > t1
+        errors += int(np.count_nonzero(hit))
+    return errors
+
+
 def _block_error_count(seed: int, block: int, n: int, f0: float, f1: float) -> int:
     """Error events among n trials of one block, drawn from the (seed, block)
     stream. Each cavity's uniform u stands for its photon count: u >= f0 = P0
@@ -159,28 +213,40 @@ def _block_error_count(seed: int, block: int, n: int, f0: float, f1: float) -> i
     a bit generator's raw words stable across versions, not its ``Generator``
     methods. ``random()`` turns a word r into ``(r >> 11) * 2**-53``, so
     ``u >= f`` holds exactly when ``r >= ceil(f * 2**53) << 11``; the words
-    are compared as integers, in chunks of ``_CHUNK_WORDS`` per cavity.
+    are compared as integers, in chunks of ``_CHUNK_WORDS`` trials.
+
+    The caller and one helper thread count the block together: each claims
+    the next chunk whenever it is free, so a thread that runs slower, or
+    starts late, takes fewer chunks instead of holding the other up. Philox
+    is counter-based, so each thread's cursor pair can jump to the chunk it
+    claims, and numpy draws the words and compares them without the GIL.
+    The count is the sum over chunks, so it does not depend on which thread
+    took which.
     """
+    import threading
+
     import numpy as np
 
     stream = np.random.SeedSequence((seed, block))
-    words_a = np.random.Philox(stream)
-    words_b = np.random.Philox(stream)
-    words_b.advance(n // 4)  # 4 words per counter step
-    words_b.random_raw(n % 4)
-    # r >= k << 11 as r > (k << 11) - 1, which fits uint64 also for
-    # k = 2**53, the f that rounds to 1 and so is never reached
-    t0, t1 = (np.uint64((min(math.ceil(f * 2.0**53), 2**53) << 11) - 1) for f in (f0, f1))
-    errors = 0
-    for start in range(0, n, _CHUNK_WORDS):
-        m = min(_CHUNK_WORDS, n - start)
-        r_a = words_a.random_raw(m)
-        r_b = words_b.random_raw(m)
-        # both cavities hold a photon, or either holds two
-        hit = np.minimum(r_a, r_b) > t0
-        hit |= np.maximum(r_a, r_b, out=r_a) > t1
-        errors += int(np.count_nonzero(hit))
-    return errors
+    t0, t1 = _word_thresholds(f0, f1)
+    starts = iter(range(0, n, _CHUNK_WORDS))
+    helped = []  # the helper's count, or the exception it raised
+
+    def help_count():
+        try:
+            helped.append(_count_claimed(stream, starts, n, t0, t1))
+        except BaseException as exc:
+            helped.append(exc)
+
+    helper = threading.Thread(target=help_count, name="xduce-mc-helper")
+    helper.start()
+    try:
+        errors = _count_claimed(stream, starts, n, t0, t1)
+    finally:
+        helper.join()
+    if isinstance(helped[0], BaseException):
+        raise helped[0]
+    return errors + helped[0]
 
 
 def mc_blue_infidelity(model: HeraldModel, samples: int, seed: int) -> McEstimate:
@@ -193,7 +259,9 @@ def mc_blue_infidelity(model: HeraldModel, samples: int, seed: int) -> McEstimat
     error fraction. Trials are generated in fixed-size blocks, each from
     its own Philox counter-based stream keyed by (seed, block index), and
     the integer error counts are summed, so the result is bit-identical
-    for a given seed.
+    for a given seed. Each block is counted on two threads, the caller and
+    one helper, which claim its chunks as they come free; the counts do not
+    depend on which thread took which chunk.
     """
     if model.scheme is not Scheme.BLUE:
         raise UsageError("mc_blue_infidelity requires a blue-scheme model")

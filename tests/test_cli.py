@@ -827,6 +827,21 @@ def test_verify_residual_failure_exits_3(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_verify_with_a_subnormal_eta_exits_3(tmp_path):
+    # at 1e-320 W eta is about 4.7e-316, below the smallest normal double,
+    # where it cannot carry 9 significant digits
+    text = SHIPPED_FIXTURE.read_text()
+    assert "power_w = 2e-5" in text
+    cfg = write_config(tmp_path, text.replace("power_w = 2e-5", "power_w = 1e-320"))
+    proc = fresh_python("-m", "xduce.cli", "verify", "--config", cfg)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert re.fullmatch(r"domain error: eta = 4\.7\d*e-316 is subnormal: a subnormal double "
+                        r"carries fewer than 9 significant digits, so it cannot carry the "
+                        r"1e-09 agreement\n", proc.stderr)
+    assert "Traceback" not in proc.stderr
+
+
 def test_module_run_verifies():
     # python -m xduce.cli runs the command line like the xduce script does
     proc = fresh_python("-m", "xduce.cli", "verify", "--config", str(SHIPPED_FIXTURE))

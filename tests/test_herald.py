@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -224,14 +225,61 @@ class TestMonteCarlo:
            mu=st.floats(0.0, 10.0, exclude_max=True) | st.floats(1e-12, 1e-6))
     @example(seed=0, block=0, n=1, mu=0.0)
     @example(seed=7, block=3, n=65_537, mu=1e-9)
+    # blocks of fewer chunks than threads, and cursors that start off the
+    # 4-word counter step
+    @example(seed=1, block=0, n=1, mu=2.0)
+    @example(seed=2, block=1, n=2, mu=2.0)
+    @example(seed=3, block=2, n=3, mu=0.3)
+    @example(seed=4, block=5, n=5, mu=0.3)
+    @example(seed=5, block=8, n=2**14 + 3, mu=0.3)
     def test_block_counts_match_whole_array_draws(self, chunk, seed, block, n, mu):
-        # the raw words, compared as integers chunk by chunk, count the same
-        # errors as two whole arrays of Generator.random doubles
+        # the raw words, compared as integers chunk by chunk on two threads,
+        # count the same errors as two whole arrays of Generator.random doubles
         p0, p1 = blue_probabilities(mu)[:2]
         expected = reference_block_error_count(seed, block, n, p0, p0 + p1)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(herald, "_CHUNK_WORDS", chunk)
             assert herald._block_error_count(seed, block, n, p0, p0 + p1) == expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**64), n=st.integers(1, 400), chunk=st.integers(1, 9),
+           mu=st.floats(0.0, 3.0), mine=st.lists(st.booleans(), max_size=400))
+    # alternate chunks, so each cursor pair jumps over every chunk of the other
+    @example(seed=3, n=17, chunk=1, mu=1.0, mine=[True, False] * 9)
+    @example(seed=4, n=400, chunk=5, mu=1.0, mine=[True, False] * 40)
+    def test_any_split_of_the_chunks_counts_the_same(self, seed, n, chunk, mu, mine):
+        # which thread claims which chunk depends on timing; every split of
+        # the chunks between two cursor pairs must give the block's count
+        p0, p1 = blue_probabilities(mu)[:2]
+        expected = reference_block_error_count(seed, 0, n, p0, p0 + p1)
+        starts = range(0, n, chunk)
+        picked = [s for s, pick in zip(starts, mine) if pick]
+        parts = (picked, [s for s in starts if s not in picked])
+        stream = np.random.SeedSequence((seed, 0))
+        t0, t1 = herald._word_thresholds(p0, p0 + p1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(herald, "_CHUNK_WORDS", chunk)
+            counts = [herald._count_claimed(stream, iter(part), n, t0, t1) for part in parts]
+        assert sum(counts) == expected
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_error_on_either_thread_reaches_the_caller(self, failing):
+        # whichever thread fails, the call raises that error and leaves no
+        # thread behind
+        count_claimed = herald._count_claimed
+
+        def failing_count_claimed(*args):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (failing == "caller"):
+                raise ZeroDivisionError(f"{failing} thread")
+            return count_claimed(*args)
+
+        threads = threading.active_count()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(herald, "_count_claimed", failing_count_claimed)
+            with pytest.raises(ZeroDivisionError, match=f"^{failing} thread$"):
+                mc_blue_infidelity(blue_model(0.3), samples=10_000, seed=1)
+        assert threading.active_count() == threads
 
     def test_block_working_memory_is_bounded(self):
         # numpy reports its buffers to tracemalloc, so the peak is
