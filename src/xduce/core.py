@@ -30,6 +30,10 @@ HBAR = 1.054571817e-34
 
 TWO_PI = 2.0 * math.pi
 
+# The least positive normal double: below it a double keeps fewer than 53
+# significant bits, so a product that lands there has lost its precision.
+NORMAL_MIN = sys.float_info.min
+
 
 # The one scalar check, in three strengths. Each widens the value with
 # float(), through _as_float, so NumPy scalars (float32 included) give float64
@@ -366,12 +370,20 @@ def intracavity_photon_number(mode_p: Mode, drive: DriveCondition) -> float:
 
 
 def _coupling(cfg: TransducerConfig) -> tuple[float, float]:
+    """g_eo^2 and kappa_a kappa_b, each a normal double (g_eo^2 is 0 for
+    g_eo = 0). A product out of the normal range puts C off by any factor:
+    a g_eo^2 that underflows to 0 gives C = 0 where C is about 382."""
     kappa_ab = cfg.mode_a.kappa * cfg.mode_b.kappa
-    if kappa_ab == 0.0:
-        raise DomainError("cooperativity undefined: kappa_a * kappa_b is zero")
-    g_eo_sq = cfg.g_eo * cfg.g_eo
-    if not math.isfinite(g_eo_sq):
-        raise DomainError(f"g_eo = {cfg.g_eo!r} is too large: g_eo^2 overflows")
+    if not NORMAL_MIN <= kappa_ab < math.inf:
+        raise DomainError(f"cooperativity undefined: kappa_a * kappa_b = {kappa_ab!r} is not "
+                          f"a normal double (kappa_a = {cfg.mode_a.kappa!r}, "
+                          f"kappa_b = {cfg.mode_b.kappa!r})")
+    g_eo = cfg.g_eo
+    g_eo_sq = g_eo * g_eo
+    if not NORMAL_MIN <= g_eo_sq < math.inf and g_eo != 0.0:
+        if g_eo_sq == math.inf:
+            raise DomainError(f"g_eo = {g_eo!r} is too large: g_eo^2 overflows")
+        raise DomainError(f"g_eo = {g_eo!r} is too small: g_eo^2 is not a normal double")
     return g_eo_sq, kappa_ab
 
 
@@ -395,6 +407,15 @@ def efficiency_chain(n_p, g_eo_sq: float, kappa_ab: float, extraction_a: float,
     return c, square, eta_i, extraction_a * extraction_b * eta_i
 
 
+def _check_numerator(n_p: float, g_eo_sq: float) -> None:
+    """Reject a C whose numerator 4 n_p g_eo^2 is not a normal double though
+    neither factor is 0: that C is off by any factor. The sweep applies the
+    same test to its arrays."""
+    if 4.0 * n_p * g_eo_sq < NORMAL_MIN and n_p > 0.0 and g_eo_sq > 0.0:
+        raise DomainError(f"C's numerator 4 n_p g_eo^2 is not a normal double: "
+                          f"n_p = {n_p!r}, g_eo^2 = {g_eo_sq!r}")
+
+
 def cooperativity(cfg: TransducerConfig, n_p: float) -> float:
     """Cooperativity C = 4 n_p g_eo^2 / (kappa_a kappa_b).
 
@@ -402,7 +423,9 @@ def cooperativity(cfg: TransducerConfig, n_p: float) -> float:
     the two converted modes; C = 1 is the critical-coupling point.
     """
     n_p = _require_non_negative(n_p, "n_p")
-    return efficiency_chain(n_p, *_coupling(cfg), 1.0, 1.0)[0]
+    g_eo_sq, kappa_ab = _coupling(cfg)
+    _check_numerator(n_p, g_eo_sq)
+    return efficiency_chain(n_p, g_eo_sq, kappa_ab, 1.0, 1.0)[0]
 
 
 def internal_efficiency(c: float) -> float:
@@ -432,6 +455,7 @@ def conversion_efficiency(cfg: TransducerConfig, n_p: float) -> EfficiencyBreakd
     c, square, eta_i, eta = efficiency_chain(n_p, g_eo_sq, kappa_ab, ex_a, ex_b)
     if not math.isfinite(square):
         raise overflow_error(c)
+    _check_numerator(n_p, g_eo_sq)
     return EfficiencyBreakdown(ex_a, ex_b, c, eta_i, eta)
 
 

@@ -4,8 +4,15 @@ Each node generates microwave photons as a Poisson process with rate
 ``r0`` inside a heralding window ``dt``, so the per-node count is
 Poisson with mean ``mu = r0 * dt``. The closed forms below are taken
 as given, including their approximations: the multi-photon term of the
-blue scheme uses a factor-2 union bound, and the Monte Carlo sampler in
-this module exists to quantify that gap, not to correct it.
+blue scheme uses a factor-2 union bound, Pmn = 2 P(n >= 2), and the Monte
+Carlo sampler in this module exists to quantify that gap, not to correct
+it. A trial is an error when both cavities hold one photon or either holds
+two or more, that is when their summed count, a Poisson(2 mu) count, is at
+least 2. So the sampler estimates the exact error probability
+
+    1 - P0^2 (1 + 2 mu) = P(Poisson(2 mu) >= 2) = multi_photon_probability(2 mu),
+
+and the union bound Pmn + P11 exceeds it by exactly P(n >= 2)^2.
 
 .. warning::
    The red-detuned branch defines ``P0 = 1 - exp(-r0 dt)`` as the
@@ -28,12 +35,18 @@ from .errors import DomainError, ModelRegimeError, UsageError
 # sampler and the sweeps reject larger means.
 MAX_POISSON_MEAN = 10.0
 
+# Below this Poisson mean, multi_photon_probability sums a series, because
+# 1 - P0 - P1 loses about 2e-16 / m^2 of P(n >= 2) to cancellation (1e-11
+# relative here, 55-fold at m = 1e-9). At and above it the subtraction stays,
+# so the sweep's golden files keep their bits.
+_SERIES_BELOW = 4e-3
+
 # Trials per RNG block, each block drawn from its own (seed, block) Philox
 # stream. Fixed, because the block layout decides which uniforms each trial
 # sees: changing it would change every estimate for a given seed.
 _BLOCK_SIZE = 1_000_000
 
-# Trials per chunk, the unit the two threads of a block claim: 128 KB of
+# Trials per chunk, the unit the two threads of a call claim: 128 KB of
 # uint64 words per cavity, so both threads' working sets stay in cache
 # (32k-trial chunks had glibc return and fault back thousands of pages per
 # block). Any size gives the same counts.
@@ -90,7 +103,8 @@ def blue_breakdown(model: HeraldModel) -> HeraldBreakdown:
         P0  = exp(-mu)          no photon in one cavity
         P1  = mu * exp(-mu)     exactly one photon in one cavity
         P11 = P1^2              one photon in each cavity
-        Pmn = 2 (1 - P0 - P1)   multi-photon events, union bound
+        Pmn = 2 (1 - P0 - P1)   multi-photon events, union bound, summed
+                                without cancellation for small mu
 
     and the heralded-state infidelity is Pmn + P11. mu >= 10 is outside the
     model's regime and raises :class:`ModelRegimeError`, as in the sampler
@@ -114,8 +128,26 @@ def blue_probabilities(mu: float) -> tuple[float, float, float, float, float]:
     p0 = math.exp(-mu)
     p1 = mu * p0
     p11 = p1 * p1
-    pmn = 2.0 * (1.0 - p0 - p1)
+    pmn = 2.0 * multi_photon_probability(mu)
     return p0, p1, p11, pmn, pmn + p11
+
+
+def multi_photon_probability(m: float) -> float:
+    """P(n >= 2) for a Poisson(m) count n, without cancellation.
+
+    Below m = 4e-3 it is the series e^-m (m^2/2!)(1 + m/3 (1 + m/4 (... m/7))),
+    whose first omitted term is under 1e-18 of the sum; from there up it is
+    1 - P0 - P1 with P0 = e^-m and P1 = m P0. ``multi_photon_probability(2 *
+    mu)`` is the exact probability of the sampler's error event (module
+    docstring).
+    """
+    p0 = math.exp(-m)
+    if m >= _SERIES_BELOW:
+        return 1.0 - p0 - m * p0
+    series = 1.0
+    for k in (7, 6, 5, 4, 3):
+        series = 1.0 + m / k * series
+    return p0 * (m * m / 2.0) * series
 
 
 def red_breakdown(model: HeraldModel) -> HeraldBreakdown:
@@ -171,23 +203,41 @@ def _seek(bits, at: int, word: int) -> None:
         bits.random_raw(word % 4)
 
 
-def _count_claimed(stream, starts, n: int, t0, t1) -> int:
-    """Errors among the chunks of an n-trial block that this thread claims.
+def _count_claimed(seed: int, samples: int, claims, t0, t1) -> int:
+    """Errors among the chunks of the ``samples`` trials that this thread claims.
 
-    ``starts`` yields chunk starts in increasing order and is shared by the
-    block's threads; ``next`` on it is one call under the GIL, so each chunk
-    goes to exactly one thread. This thread's cursor pair on ``stream`` only
-    moves forward: to word s for cavity a and n + s for cavity b, skipping
-    the chunks the other thread took.
+    ``claims`` yields (block, chunk start) pairs in increasing order and is
+    shared by the call's threads; it is a C iterator, so ``next`` on it is
+    one call under the GIL and each chunk goes to exactly one thread. A
+    start at or past the n trials of a partial last block is skipped.
+
+    Trial i of an n-trial block reads cavity a's uniform from word i and
+    cavity b's from word n + i of the block's raw Philox stream: ``u_a`` is
+    words [0, n) and ``u_b`` words [n, 2n), the values
+    ``Generator.random(n)`` twice would give. NumPy keeps a bit generator's
+    raw words stable across versions, not its ``Generator`` methods.
+    ``random()`` turns a word r into ``(r >> 11) * 2**-53``, so ``u >= f``
+    holds exactly when ``r >= ceil(f * 2**53) << 11``; t0 and t1 are those
+    bounds for P0 and P0 + P1, less one (:func:`_word_thresholds`).
+
+    This thread builds a block's cursor pair the first time it claims one
+    of the block's chunks, and only moves it forward: to word s for cavity
+    a and n + s for cavity b, skipping the chunks the other thread took.
     """
     import numpy as np
 
-    words_a = np.random.Philox(stream)
-    words_b = np.random.Philox(stream)
-    _seek(words_b, 0, n)
-    at = 0  # the trial both cursors stand at
+    block = None
     errors = 0
-    for start in iter(lambda: next(starts, None), None):
+    for claimed, start in claims:
+        n = min(_BLOCK_SIZE, samples - claimed * _BLOCK_SIZE)
+        if start >= n:
+            continue
+        if claimed != block:
+            block, at = claimed, 0  # the trial both cursors stand at
+            stream = np.random.SeedSequence((seed, block))
+            words_a = np.random.Philox(stream)
+            words_b = np.random.Philox(stream)
+            _seek(words_b, 0, n)
         if start != at:
             _seek(words_a, at, start)
             _seek(words_b, n + at, n + start)
@@ -202,53 +252,6 @@ def _count_claimed(stream, starts, n: int, t0, t1) -> int:
     return errors
 
 
-def _block_error_count(seed: int, block: int, n: int, f0: float, f1: float) -> int:
-    """Error events among n trials of one block, drawn from the (seed, block)
-    stream. Each cavity's uniform u stands for its photon count: u >= f0 = P0
-    means at least one photon, u >= f1 = P0 + P1 at least two; 0 < f0 <= f1.
-
-    Trial i reads cavity a's uniform from word i and cavity b's from word
-    n + i of the raw Philox stream: ``u_a`` is words [0, n) and ``u_b`` words
-    [n, 2n), the values ``Generator.random(n)`` twice would give. NumPy keeps
-    a bit generator's raw words stable across versions, not its ``Generator``
-    methods. ``random()`` turns a word r into ``(r >> 11) * 2**-53``, so
-    ``u >= f`` holds exactly when ``r >= ceil(f * 2**53) << 11``; the words
-    are compared as integers, in chunks of ``_CHUNK_WORDS`` trials.
-
-    The caller and one helper thread count the block together: each claims
-    the next chunk whenever it is free, so a thread that runs slower, or
-    starts late, takes fewer chunks instead of holding the other up. Philox
-    is counter-based, so each thread's cursor pair can jump to the chunk it
-    claims, and numpy draws the words and compares them without the GIL.
-    The count is the sum over chunks, so it does not depend on which thread
-    took which.
-    """
-    import threading
-
-    import numpy as np
-
-    stream = np.random.SeedSequence((seed, block))
-    t0, t1 = _word_thresholds(f0, f1)
-    starts = iter(range(0, n, _CHUNK_WORDS))
-    helped = []  # the helper's count, or the exception it raised
-
-    def help_count():
-        try:
-            helped.append(_count_claimed(stream, starts, n, t0, t1))
-        except BaseException as exc:
-            helped.append(exc)
-
-    helper = threading.Thread(target=help_count, name="xduce-mc-helper")
-    helper.start()
-    try:
-        errors = _count_claimed(stream, starts, n, t0, t1)
-    finally:
-        helper.join()
-    if isinstance(helped[0], BaseException):
-        raise helped[0]
-    return errors + helped[0]
-
-
 def mc_blue_infidelity(model: HeraldModel, samples: int, seed: int) -> McEstimate:
     """Monte Carlo oracle for the blue-scheme infidelity.
 
@@ -259,9 +262,12 @@ def mc_blue_infidelity(model: HeraldModel, samples: int, seed: int) -> McEstimat
     error fraction. Trials are generated in fixed-size blocks, each from
     its own Philox counter-based stream keyed by (seed, block index), and
     the integer error counts are summed, so the result is bit-identical
-    for a given seed. Each block is counted on two threads, the caller and
-    one helper, which claim its chunks as they come free; the counts do not
-    depend on which thread took which chunk.
+    for a given seed. The call is counted on two threads, the caller and one
+    helper started once per call. They claim (block, chunk) pairs from one
+    shared iterator as they come free, so a thread that runs slower, or
+    starts late, takes fewer chunks instead of holding the other up; numpy
+    draws and compares the words without the GIL. The count is a sum over
+    chunks, so it does not depend on which thread took which.
     """
     if model.scheme is not Scheme.BLUE:
         raise UsageError("mc_blue_infidelity requires a blue-scheme model")
@@ -271,11 +277,32 @@ def mc_blue_infidelity(model: HeraldModel, samples: int, seed: int) -> McEstimat
         raise UsageError(f"samples must be at least 1, got {_shown(samples)}")
     if seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {_shown(seed)}")
+    import itertools
+    import threading
+
     p0, p1 = blue_probabilities(model.mu)[:2]
-    total = sum(
-        _block_error_count(seed, i, min(_BLOCK_SIZE, samples - i * _BLOCK_SIZE), p0, p0 + p1)
-        for i in range((samples + _BLOCK_SIZE - 1) // _BLOCK_SIZE)
-    )
+    t0, t1 = _word_thresholds(p0, p0 + p1)
+    # a C iterator: two threads calling next() on one generator can make it
+    # raise "generator already executing"
+    claims = itertools.product(range(-(-samples // _BLOCK_SIZE)),
+                               range(0, min(_BLOCK_SIZE, samples), _CHUNK_WORDS))
+    helped = []  # the helper's count, or the exception it raised
+
+    def help_count():
+        try:
+            helped.append(_count_claimed(seed, samples, claims, t0, t1))
+        except BaseException as exc:
+            helped.append(exc)
+
+    helper = threading.Thread(target=help_count, name="xduce-mc-helper")
+    helper.start()
+    try:
+        total = _count_claimed(seed, samples, claims, t0, t1)
+    finally:
+        helper.join()
+    if isinstance(helped[0], BaseException):
+        raise helped[0]
+    total += helped[0]
     mean = total / samples
     if samples > 1:
         stderr = math.sqrt(mean * (1.0 - mean) / (samples - 1))

@@ -32,6 +32,7 @@ from xduce import (
     storage_loss_infidelity,
 )
 from xduce.cli import run_cli
+from xduce.herald import multi_photon_probability
 from conftest import TWO_PI, golden_section_max, make_device
 
 HERE = Path(__file__).resolve().parent
@@ -139,7 +140,13 @@ def test_criterion_5_blue_herald_formulas():
     for mu in np.linspace(0.0, 5.0, 2001):
         bd = blue_breakdown(HeraldModel(r0=float(mu), dt=1.0, scheme=Scheme.BLUE))
         assert bd.p11 == bd.p1 * bd.p1
-        assert bd.pmn == 2.0 * (1.0 - bd.p0 - bd.p1)
+        assert bd.pmn == 2.0 * multi_photon_probability(mu)
+        if mu >= 4e-3:
+            # the subtraction, bit for bit, where it does not cancel
+            assert bd.pmn == 2.0 * (1.0 - bd.p0 - bd.p1)
+        else:
+            # the series, where 1 - P0 - P1 cancels
+            assert bd.pmn == pytest.approx(2.0 * (1.0 - bd.p0 - bd.p1), rel=1e-10)
     print("PASS criterion 5: blue breakdown matches references at mu = 0.1; "
           "identities exact on mu in [0, 5]")
 

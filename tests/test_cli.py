@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -30,7 +32,7 @@ from xduce import (
     retune_microwave_q,
     scattering_at,
 )
-from xduce import herald
+from xduce import herald, scattering
 from xduce.cli import MC_SAMPLES_CAP, _sweep_lines, build_parser, run_cli
 from xduce.config import _SCHEMA, load_config
 from xduce.sweep import HeraldOptions, PowerAxis, SweepSpec, run_sweep
@@ -302,6 +304,25 @@ class TestHeraldCommand:
         assert float(record["mu"]) == pytest.approx(0.1, rel=1e-12)
         assert float(record["infidelity"]) == pytest.approx(0.0175450, abs=1e-6)
 
+    def test_blue_small_mu_prints_accurate_probabilities(self, tmp_path, capsys):
+        # mu = 1e-9, where 1 - P0 - P1 cancels to pmn = -5.46e-17 and
+        # infidelity = -5.36e-17; the keys and their order stay the same
+        text = Path(self._blue_config(tmp_path)).read_text()
+        assert "r0_per_s = 100\n" in text
+        text = text.replace("r0_per_s = 100\n", "r0_per_s = 1e-6\n")
+        assert run_cli(["herald", "--config", write_config(tmp_path, text)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "scheme,mu,p0,p1,p11,pmn,infidelity"
+        record = parse_single_record(out)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            mu = Decimal(record["mu"])
+            p0 = (-mu).exp()
+            pmn = 2 * (1 - p0 - mu * p0)
+            infidelity = pmn + (mu * p0) ** 2
+        for key, expected in (("pmn", pmn), ("infidelity", infidelity)):
+            assert abs(Decimal(record[key]) - expected) <= Decimal("1e-12") * expected, key
+
     def test_red_breakdown_reported(self, capsys):
         rc = run_cli(["herald", "--config", str(SHIPPED_FIXTURE)])
         assert rc == 0
@@ -374,7 +395,7 @@ class TestHeraldCommand:
         def no_draw(*args):
             raise AssertionError("an MC block was drawn")
 
-        monkeypatch.setattr(herald, "_block_error_count", no_draw)
+        monkeypatch.setattr(herald, "_count_claimed", no_draw)
         cfg = self._blue_config(tmp_path)
         assert run_cli(["herald", "--config", cfg, "--mc", samples]) == 5
         captured = capsys.readouterr()
@@ -384,11 +405,12 @@ class TestHeraldCommand:
     def test_mc_at_cap_is_drawn(self, tmp_path, capsys, monkeypatch):
         # the benchmark's cold calls use --mc 1000000; the cap is inclusive
         assert MC_SAMPLES_CAP >= 1_000_000
-        blocks = []
-        monkeypatch.setattr(herald, "_block_error_count", lambda *args: blocks.append(args) or 0)
+        calls = []
+        monkeypatch.setattr(herald, "_count_claimed", lambda *args: calls.append(args) or 0)
         cfg = self._blue_config(tmp_path)
         assert run_cli(["herald", "--config", cfg, "--mc", str(MC_SAMPLES_CAP)]) == 0
-        assert sum(args[2] for args in blocks) == MC_SAMPLES_CAP
+        # the caller and the helper, each asked to count all of the samples
+        assert [args[1] for args in calls] == [MC_SAMPLES_CAP] * 2
         assert float(parse_single_record(capsys.readouterr().out)["mc_infidelity"]) == 0.0
 
     def test_red_with_mc_unsupported(self, capsys):
@@ -653,11 +675,20 @@ class TestExitCodes:
         text = SHIPPED_FIXTURE.read_text()
         old = "b_kappa_i_hz = 0.07957747154594767"
         assert old in text
+        # kappa_a * kappa_b overflows: the closed form rejects it before any solve
         cfg = write_config(tmp_path, text.replace(old, "b_kappa_i_hz = 1e300"))
         assert run_cli(["verify", "--config", cfg]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "determinant" in captured.err
+        assert "kappa_a * kappa_b = inf is not a normal double" in captured.err
+        # a normal kappa_a * kappa_b, but the probes at 5 kappa_b square past
+        # the doubles in the determinant
+        text = text.replace(old, "b_kappa_i_hz = 1e160").replace("power_w = 2e-5",
+                                                                 "power_w = 1e100")
+        assert run_cli(["verify", "--config", write_config(tmp_path, text)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith("eta_closed_form = ")
+        assert "determinant is (-inf+infj)" in captured.err
 
     def test_herald_just_inside_regime_exits_0(self, tmp_path, capsys):
         text = (SHIPPED_FIXTURE.read_text().replace("scheme = red", "scheme = blue")
@@ -810,21 +841,129 @@ def test_config_that_is_not_utf8_exits_2(tmp_path):
     assert f"cannot parse {cfg}: 'utf-8' codec can't decode byte 0xff" in proc.stderr
 
 
-def test_verify_residual_failure_exits_3(tmp_path):
-    # with every rate near 1e-160 Hz the 2x2 solve fails its residual
-    # check, an ArithmeticError: a domain error, not a traceback
-    text = SHIPPED_FIXTURE.read_text()
-    for key, value in (("a_kappa_i_hz", "2.30525e-161"), ("a_kappa_ex_hz", "5.54244e-162"),
-                       ("b_kappa_i_hz", "1.54768e-163"), ("b_kappa_ex_hz", "9.91374e-169"),
-                       ("p_kappa_i_hz", "5.4312e-158"), ("p_kappa_ex_hz", "6.17442e-153"),
-                       ("g_eo_hz", "3.10095e-240"), ("power_w", "5.59361e-14")):
+# Every rate near 1e-160 Hz: kappa_a * kappa_b is the subnormal 1.73e-322 and
+# g_eo^2 underflows to 0, where C is about 382.
+TINY_KAPPA = (("a_kappa_i_hz", "2.30525e-161"), ("a_kappa_ex_hz", "5.54244e-162"),
+              ("b_kappa_i_hz", "1.54768e-163"), ("b_kappa_ex_hz", "9.91374e-169"),
+              ("p_kappa_i_hz", "5.4312e-158"), ("p_kappa_ex_hz", "6.17442e-153"),
+              ("g_eo_hz", "3.10095e-240"), ("power_w", "5.59361e-14"))
+
+
+def with_fields(text: str, fields) -> str:
+    for key, value in fields:
         text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
         assert count == 1
-    proc = fresh_python("-m", "xduce.cli", "verify", "--config", write_config(tmp_path, text))
+    return text
+
+
+def test_verify_residual_failure_exits_3(monkeypatch, capsys):
+    # a failed 2x2 residual check is an ArithmeticError: a domain error, not
+    # a traceback
+    monkeypatch.setattr(scattering, "_RESIDUAL_RTOL", -1.0)
+    assert run_cli(["verify", "--config", str(SHIPPED_FIXTURE)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error: 2x2 residual")
+
+
+@pytest.mark.parametrize("command", ["efficiency", "sweep", "verify"])
+def test_tiny_kappa_config_exits_3(tmp_path, command):
+    # C and eta would read 0 here; the product that leaves the normal
+    # doubles is named instead
+    text = with_fields(SHIPPED_FIXTURE.read_text(), TINY_KAPPA)
+    proc = fresh_python("-m", "xduce.cli", command, "--config", write_config(tmp_path, text))
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr.startswith("domain error: 2x2 residual")
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("domain error: ")
+    assert " is not a normal double" in proc.stderr
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda exponent: 10.0 ** exponent)
+
+
+@st.composite
+def hostile_configs(draw):
+    """A config that loads, with rates and coupling anywhere from far below to
+    far above any device, powers down to the subnormals, and herald means
+    from 1e-12 to past the model's regime."""
+    lines = ["[device]"]
+    for label in "abp":
+        lines += [f"{label}_frequency_hz = {draw(_log_uniform(9.0, 15.0))!r}",
+                  f"{label}_kappa_i_hz = {draw(_log_uniform(-150.0, 150.0))!r}",
+                  f"{label}_kappa_ex_hz = {draw(_log_uniform(-150.0, 150.0))!r}"]
+    g_eo = draw(st.just(0.0) | _log_uniform(-300.0, 150.0))
+    power = draw(st.just(0.0) | _log_uniform(-320.0, 10.0))
+    lines += [f"g_eo_hz = {g_eo!r}", "", "[drive]", f"power_w = {power!r}",
+              f"scheme = {draw(st.sampled_from(['red', 'blue']))}"]
+    dt = draw(_log_uniform(-15.0, 0.0))
+    mu = draw(_log_uniform(-12.0, 1.3))
+    lines += ["", "[herald]", f"dt_s = {dt!r}",
+              f"r0_mapping = {draw(st.sampled_from(['direct', 'c_kappa_b']))}",
+              f"r0_per_s = {mu / dt!r}"]
+    low, high = sorted(draw(st.lists(st.floats(-320.0, 10.0), min_size=2, max_size=2,
+                                     unique=True)))
+    q_values = draw(st.lists(_log_uniform(3.0, 12.0), min_size=1, max_size=2, unique=True))
+    lines += ["", "[sweep]", f"power_min_w = {10.0 ** low!r}", f"power_max_w = {10.0 ** high!r}",
+              f"power_points = {draw(st.integers(2, 3))}",
+              f"power_spacing = {draw(st.sampled_from(['log', 'linear']))}",
+              f"q_values = {', '.join(map(repr, q_values))}",
+              "outputs = efficiency, cooperativity, infidelity"]
+    return "\n".join(lines) + "\n"
+
+
+def assert_cooperativity(c: float, n_p: float, cfg) -> None:
+    """C is 0 only where g_eo n_p is 0 or the exact C is below the least
+    subnormal, and within 1e-9 of the exact C where that is a normal double."""
+    exact = (4 * Fraction(n_p) * Fraction(cfg.g_eo) ** 2
+             / (Fraction(cfg.mode_a.kappa) * Fraction(cfg.mode_b.kappa)))
+    assert c >= 0.0
+    if c == 0.0:
+        assert exact < Fraction(2.0 ** -1074)
+    if exact >= Fraction(sys.float_info.min):
+        assert abs(Fraction(c) - exact) <= exact / 10**9
+
+
+def assert_probabilities(record: dict, *keys) -> None:
+    for key in keys:
+        assert 0.0 <= record[key] <= 1.0, key
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(text=hostile_configs())
+@example(text=with_fields(SHIPPED_FIXTURE.read_text(), TINY_KAPPA))
+@example(text=with_fields(SHIPPED_FIXTURE.read_text(),
+                          (("scheme", "blue"), ("r0_per_s", "1e-6"))))
+def test_commands_keep_their_contract_on_hostile_configs(text):
+    # every exit is a success, a config error or a domain error, and what a
+    # success prints is in range; verify never exits 6 here, so its oracle
+    # agrees with the closed form wherever the closed form answers
+    records = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        Path(path).write_text(text, encoding="utf-8")
+        for command in ("efficiency", "herald", "sweep", "verify"):
+            argv = [command, "--config", path] + ["--format", "jsonl"] * (command != "verify")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = run_cli(argv)
+            assert code in (0, 2, 3), command
+            if code == 0 and command != "verify":
+                records[command] = [json.loads(line) for line in out.getvalue().splitlines()]
+        run = load_config(path) if records else None
+    for record in records.get("efficiency", ()):
+        assert_probabilities(record, "eta_internal", "eta", "extraction_a", "extraction_b")
+        assert_cooperativity(record["cooperativity"], record["n_p"], run.transducer)
+    for record in records.get("herald", ()):
+        assert_probabilities(record, *(key for key in ("p0", "p1", "p11")
+                                       if record[key] is not None))
+        assert record["pmn"] is None or record["pmn"] >= 0.0
+        assert record["infidelity"] >= 0.0
+    for record in records.get("sweep", ()):
+        assert_probabilities(record, "eta_internal", "eta")
+        assert_cooperativity(record["cooperativity"], record["n_p"],
+                             retune_microwave_q(run.transducer, record["q_b"]))
+        assert record["infidelity"] >= 0.0
 
 
 def test_verify_with_a_subnormal_eta_exits_3(tmp_path):

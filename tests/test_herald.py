@@ -1,6 +1,8 @@
+import itertools
 import math
 import threading
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -159,6 +161,60 @@ class TestBlueBreakdown:
             mc_blue_infidelity(blue_model(mu), samples=10, seed=0)
 
 
+def decimal_multi_photon(m: float) -> Decimal:
+    """P(Poisson(m) >= 2) = 1 - e^-m (1 + m) at 60 digits, from the double m."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        m = Decimal(m)
+        return 1 - (-m).exp() * (1 + m)
+
+
+class TestMultiPhoton:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(m=st.floats(-12.0, math.log10(20.0)).map(lambda exponent: 10.0 ** exponent))
+    @example(m=1e-12)
+    @example(m=1e-9)
+    # both sides of the switch from the series to the subtraction
+    @example(m=math.nextafter(4e-3, 0.0))
+    @example(m=4e-3)
+    @example(m=4.4e-3)
+    def test_against_decimal_reference(self, m):
+        expected = decimal_multi_photon(m)
+        got = herald.multi_photon_probability(m)
+        assert abs(Decimal(got) - expected) <= Decimal("1e-10") * expected
+
+    def test_zero_mean(self):
+        assert herald.multi_photon_probability(0.0) == 0.0
+
+    @pytest.mark.parametrize("mu", sorted(EXACT_ERROR_PROB))
+    def test_exact_error_probability(self, mu):
+        # the sampler's error event is a Poisson(2 mu) count of at least 2
+        assert herald.multi_photon_probability(2.0 * mu) == pytest.approx(
+            EXACT_ERROR_PROB[mu], rel=1e-11)
+
+    @pytest.mark.parametrize("mu", [0.05, 0.1, 0.3, 1.0, 3.0, 9.99])
+    def test_union_bound_exceeds_exact_by_tail_squared(self, mu):
+        tail = herald.multi_photon_probability(mu)
+        gap = blue_breakdown(blue_model(mu)).infidelity - herald.multi_photon_probability(2 * mu)
+        assert gap == pytest.approx(tail * tail, rel=1e-9)
+
+    def test_union_bound_passes_one_where_exact_does_not(self):
+        assert blue_breakdown(blue_model(3.0)).infidelity == pytest.approx(1.62401, abs=1e-5)
+        assert herald.multi_photon_probability(6.0) == pytest.approx(0.98265, abs=1e-5)
+
+    @pytest.mark.parametrize("mu", [1e-12, 1e-9, 1e-7, 1e-4])
+    def test_small_mu_breakdown_against_decimal_reference(self, mu):
+        # 1 - P0 - P1 cancels to pmn = -5.46e-17 at mu = 1e-9, where it is 1.0e-18
+        bd = blue_breakdown(blue_model(mu))
+        pmn = 2 * decimal_multi_photon(mu)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            p1 = Decimal(mu) * (-Decimal(mu)).exp()
+            infidelity = pmn + p1 * p1
+        assert abs(Decimal(bd.pmn) - pmn) <= Decimal("1e-12") * pmn
+        assert abs(Decimal(bd.infidelity) - infidelity) <= Decimal("1e-12") * infidelity
+
+
 class TestRedBreakdown:
     def test_mu_tenth_literal_values(self):
         bd = red_breakdown(HeraldModel(r0=100.0, dt=1e-3, scheme=Scheme.RED))
@@ -221,46 +277,95 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("chunk", [herald._CHUNK_WORDS, 7])
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(0, 2**64), block=st.integers(0, 10**4), n=st.integers(1, 70_000),
+    @given(seed=st.integers(0, 2**64), block_size=st.integers(1, 30_000),
+           blocks=st.integers(1, 4), last=st.floats(0.0, 1.0),
            mu=st.floats(0.0, 10.0, exclude_max=True) | st.floats(1e-12, 1e-6))
-    @example(seed=0, block=0, n=1, mu=0.0)
-    @example(seed=7, block=3, n=65_537, mu=1e-9)
-    # blocks of fewer chunks than threads, and cursors that start off the
-    # 4-word counter step
-    @example(seed=1, block=0, n=1, mu=2.0)
-    @example(seed=2, block=1, n=2, mu=2.0)
-    @example(seed=3, block=2, n=3, mu=0.3)
-    @example(seed=4, block=5, n=5, mu=0.3)
-    @example(seed=5, block=8, n=2**14 + 3, mu=0.3)
-    def test_block_counts_match_whole_array_draws(self, chunk, seed, block, n, mu):
-        # the raw words, compared as integers chunk by chunk on two threads,
-        # count the same errors as two whole arrays of Generator.random doubles
+    @example(seed=0, block_size=1, blocks=1, last=1.0, mu=0.0)
+    @example(seed=7, block_size=65_537, blocks=1, last=1.0, mu=1e-9)
+    # blocks of fewer chunks than threads, cursors that start off the 4-word
+    # counter step, and partial last blocks shorter than a chunk
+    @example(seed=1, block_size=1, blocks=3, last=1.0, mu=2.0)
+    @example(seed=2, block_size=2, blocks=2, last=0.0, mu=2.0)
+    @example(seed=3, block_size=3, blocks=4, last=0.5, mu=0.3)
+    @example(seed=4, block_size=5, blocks=3, last=0.0, mu=0.3)
+    @example(seed=5, block_size=2**14 + 3, blocks=2, last=0.0, mu=0.3)
+    def test_block_counts_match_whole_array_draws(self, chunk, seed, block_size, blocks,
+                                                   last, mu):
+        # the raw words, compared as integers chunk by chunk on two threads
+        # whose claims run across block boundaries, count the same errors as
+        # two whole arrays of Generator.random doubles per block
+        samples = (blocks - 1) * block_size + max(1, round(last * block_size))
         p0, p1 = blue_probabilities(mu)[:2]
-        expected = reference_block_error_count(seed, block, n, p0, p0 + p1)
+        expected = sum(
+            reference_block_error_count(seed, b, min(block_size, samples - b * block_size),
+                                        p0, p0 + p1)
+            for b in range(blocks))
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(herald, "_BLOCK_SIZE", block_size)
             patch.setattr(herald, "_CHUNK_WORDS", chunk)
-            assert herald._block_error_count(seed, block, n, p0, p0 + p1) == expected
+            est = mc_blue_infidelity(blue_model(mu), samples=samples, seed=seed)
+        assert est.infidelity_mean == expected / samples
+
+    def test_block_keying_far_from_block_zero(self):
+        # block b draws from the (seed, b) stream: the 10000th block of a call
+        # counts what the reference draws for block 9999
+        p0, p1 = blue_probabilities(0.3)[:2]
+        t0, t1 = herald._word_thresholds(p0, p0 + p1)
+        claims = iter([(9999, 0), (9999, 5), (9999, 10)])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(herald, "_BLOCK_SIZE", 12)
+            patch.setattr(herald, "_CHUNK_WORDS", 5)
+            count = herald._count_claimed(11, 10_000 * 12, claims, t0, t1)
+        assert count == reference_block_error_count(11, 9999, 12, p0, p0 + p1)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(0, 2**64), n=st.integers(1, 400), chunk=st.integers(1, 9),
-           mu=st.floats(0.0, 3.0), mine=st.lists(st.booleans(), max_size=400))
+    @given(seed=st.integers(0, 2**64), block_size=st.integers(1, 150), blocks=st.integers(1, 3),
+           last=st.integers(1, 150), chunk=st.integers(1, 9), mu=st.floats(0.0, 3.0),
+           mine=st.lists(st.booleans(), max_size=450))
     # alternate chunks, so each cursor pair jumps over every chunk of the other
-    @example(seed=3, n=17, chunk=1, mu=1.0, mine=[True, False] * 9)
-    @example(seed=4, n=400, chunk=5, mu=1.0, mine=[True, False] * 40)
-    def test_any_split_of_the_chunks_counts_the_same(self, seed, n, chunk, mu, mine):
+    @example(seed=3, block_size=17, blocks=1, last=17, chunk=1, mu=1.0, mine=[True, False] * 9)
+    @example(seed=4, block_size=150, blocks=3, last=150, chunk=5, mu=1.0,
+             mine=[True, False] * 45)
+    # one pair takes a block's last chunk and the next block's first
+    @example(seed=5, block_size=10, blocks=3, last=4, chunk=4, mu=1.0,
+             mine=[False, False, True, True, False, False, True])
+    def test_any_split_of_the_chunks_counts_the_same(self, seed, block_size, blocks, last,
+                                                     chunk, mu, mine):
         # which thread claims which chunk depends on timing; every split of
-        # the chunks between two cursor pairs must give the block's count
+        # the claims between two cursor pairs, across block boundaries and with
+        # a partial last block, must give the call's count
+        samples = (blocks - 1) * block_size + min(last, block_size)
         p0, p1 = blue_probabilities(mu)[:2]
-        expected = reference_block_error_count(seed, 0, n, p0, p0 + p1)
-        starts = range(0, n, chunk)
-        picked = [s for s, pick in zip(starts, mine) if pick]
-        parts = (picked, [s for s in starts if s not in picked])
-        stream = np.random.SeedSequence((seed, 0))
+        expected = sum(
+            reference_block_error_count(seed, b, min(block_size, samples - b * block_size),
+                                        p0, p0 + p1)
+            for b in range(blocks))
+        claims = list(itertools.product(range(blocks),
+                                        range(0, min(block_size, samples), chunk)))
+        picked = [c for c, pick in zip(claims, mine) if pick]
+        parts = (picked, [c for c in claims if c not in picked])
         t0, t1 = herald._word_thresholds(p0, p0 + p1)
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(herald, "_BLOCK_SIZE", block_size)
             patch.setattr(herald, "_CHUNK_WORDS", chunk)
-            counts = [herald._count_claimed(stream, iter(part), n, t0, t1) for part in parts]
+            counts = [herald._count_claimed(seed, samples, iter(part), t0, t1)
+                      for part in parts]
         assert sum(counts) == expected
+
+    def test_one_helper_thread_per_call(self):
+        # many blocks, one thread start: the helper serves the whole call
+        start = threading.Thread.start
+        started = []
+
+        def counted_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(herald, "_BLOCK_SIZE", 1000)
+            patch.setattr(threading.Thread, "start", counted_start)
+            mc_blue_infidelity(blue_model(0.3), samples=20_500, seed=1)
+        assert started == ["xduce-mc-helper"]
 
     @pytest.mark.parametrize("failing", ["helper", "caller"])
     def test_error_on_either_thread_reaches_the_caller(self, failing):
