@@ -208,12 +208,10 @@ def cmd_verify(run: RunConfig, args) -> int:
     red_sys = scattering.build_linearized(cfg, n_p, Scheme.RED)
     conversion = scattering.scattering_at(red_sys, 0.0).conversion
     for name, value in (("eta", eta), ("the oracle's conversion", conversion)):
-        if 0.0 < value < sys.float_info.min:
-            raise DomainError(
-                f"{name} = {value!r} is subnormal: a subnormal double carries fewer "
-                f"than 9 significant digits, so it cannot carry the "
-                f"{VERIFY_TOLERANCE:g} agreement"
-            )
+        if not core._carried(value, value):  # 0 is exact, a subnormal is not
+            raise DomainError(f"{name} = {value!r} is subnormal: a subnormal double carries "
+                              f"fewer than 9 significant digits, so it cannot carry the "
+                              f"{VERIFY_TOLERANCE:g} agreement")
     if eta > 0.0:
         deviation = abs(conversion - eta) / eta
     else:

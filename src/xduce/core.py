@@ -35,6 +35,12 @@ TWO_PI = 2.0 * math.pi
 NORMAL_MIN = sys.float_info.min
 
 
+def _carried(product, a=1.0, b=1.0):
+    """Whether ``product``, of non-negative factors among them ``a`` and ``b``, is
+    normal, or 0 as ``a`` or ``b`` is 0: a float gives a bool, an array a mask."""
+    return ((NORMAL_MIN <= product) | (a == 0.0) | (b == 0.0)) & (product < math.inf)
+
+
 # The one scalar check, in three strengths. Each widens the value with
 # float(), through _as_float, so NumPy scalars (float32 included) give float64
 # results, rejects it (or a value float() cannot read) with a DomainError
@@ -345,9 +351,9 @@ def _pump_buildup(mode_p: Mode, pump_detuning: float) -> float:
             f"(kappa_p/2)^2 + delta_p^2 overflows: kappa_p = {kp!r}, delta_p = {pump_detuning!r}"
         )
     buildup = HBAR * mode_p.omega * squares
-    if not 0.0 < buildup < math.inf:
-        raise DomainError(f"pump buildup hbar * omega_p * ((kappa_p/2)^2 + delta_p^2) must be "
-                          f"positive and finite, got {buildup!r}")
+    if not _carried(buildup):
+        raise DomainError(f"pump buildup hbar * omega_p * ((kappa_p/2)^2 + delta_p^2) = "
+                          f"{buildup!r} is not a normal double: it must be positive and finite")
     return buildup
 
 
@@ -370,17 +376,16 @@ def intracavity_photon_number(mode_p: Mode, drive: DriveCondition) -> float:
 
 
 def _coupling(cfg: TransducerConfig) -> tuple[float, float]:
-    """g_eo^2 and kappa_a kappa_b, each a normal double (g_eo^2 is 0 for
-    g_eo = 0). A product out of the normal range puts C off by any factor:
-    a g_eo^2 that underflows to 0 gives C = 0 where C is about 382."""
+    """g_eo^2 and kappa_a kappa_b, each carried by a double: a g_eo^2 that
+    underflows to 0 would give C = 0 where C is about 382."""
     kappa_ab = cfg.mode_a.kappa * cfg.mode_b.kappa
-    if not NORMAL_MIN <= kappa_ab < math.inf:
+    if not _carried(kappa_ab):
         raise DomainError(f"cooperativity undefined: kappa_a * kappa_b = {kappa_ab!r} is not "
                           f"a normal double (kappa_a = {cfg.mode_a.kappa!r}, "
                           f"kappa_b = {cfg.mode_b.kappa!r})")
     g_eo = cfg.g_eo
     g_eo_sq = g_eo * g_eo
-    if not NORMAL_MIN <= g_eo_sq < math.inf and g_eo != 0.0:
+    if not _carried(g_eo_sq, g_eo):
         if g_eo_sq == math.inf:
             raise DomainError(f"g_eo = {g_eo!r} is too large: g_eo^2 overflows")
         raise DomainError(f"g_eo = {g_eo!r} is too small: g_eo^2 is not a normal double")
@@ -408,10 +413,8 @@ def efficiency_chain(n_p, g_eo_sq: float, kappa_ab: float, extraction_a: float,
 
 
 def _check_numerator(n_p: float, g_eo_sq: float) -> None:
-    """Reject a C whose numerator 4 n_p g_eo^2 is not a normal double though
-    neither factor is 0: that C is off by any factor. The sweep applies the
-    same test to its arrays."""
-    if 4.0 * n_p * g_eo_sq < NORMAL_MIN and n_p > 0.0 and g_eo_sq > 0.0:
+    """Reject a C whose numerator 4 n_p g_eo^2 is not carried by a double."""
+    if not _carried(4.0 * n_p * g_eo_sq, n_p, g_eo_sq):
         raise DomainError(f"C's numerator 4 n_p g_eo^2 is not a normal double: "
                           f"n_p = {n_p!r}, g_eo^2 = {g_eo_sq!r}")
 
@@ -452,10 +455,10 @@ def conversion_efficiency(cfg: TransducerConfig, n_p: float) -> EfficiencyBreakd
     """
     n_p = _require_non_negative(n_p, "n_p")
     g_eo_sq, kappa_ab, ex_a, ex_b = chain_scalars(cfg)
+    _check_numerator(n_p, g_eo_sq)
     c, square, eta_i, eta = efficiency_chain(n_p, g_eo_sq, kappa_ab, ex_a, ex_b)
     if not math.isfinite(square):
         raise overflow_error(c)
-    _check_numerator(n_p, g_eo_sq)
     return EfficiencyBreakdown(ex_a, ex_b, c, eta_i, eta)
 
 

@@ -158,8 +158,8 @@ def _columns(cfg: TransducerConfig, powers: np.ndarray, n_p: np.ndarray, q_b: fl
              options: HeraldOptions | None) -> tuple:
     """C, eta_i, eta and infidelity (None without ``options``) lists at one
     Q, from the photon numbers ``n_p`` at ``powers``. The first power where
-    the chain fails (a non-finite (1+C)^2, C's numerator out of the normal
-    doubles, or mu not below 10) is run through the scalar API, and its
+    the chain fails (a non-finite (1+C)^2, C's numerator not carried by a
+    double, or mu not below 10) is run through the scalar API, and its
     error is raised with the point's coordinates. Infidelity goes through
     ``math.exp`` like the scalar breakdown, once if r0 is fixed."""
     import numpy as np
@@ -167,9 +167,7 @@ def _columns(cfg: TransducerConfig, powers: np.ndarray, n_p: np.ndarray, q_b: fl
     with np.errstate(all="ignore"):
         g_eo_sq, *scalars = core.chain_scalars(cfg)
         c, square, eta_i, eta = core.efficiency_chain(n_p, g_eo_sq, *scalars)
-        # core._check_numerator's test, over the array
-        valid = np.isfinite(square) & ((4.0 * n_p * g_eo_sq >= core.NORMAL_MIN)
-                                       | (n_p == 0.0) | (g_eo_sq == 0.0))
+        valid = np.isfinite(square) & core._carried(4.0 * n_p * g_eo_sq, n_p, g_eo_sq)
         if options is not None:
             mu = options.rate_for(c, cfg.mode_b.kappa) * options.dt
             valid &= mu < herald.MAX_POISSON_MEAN  # a nan mu fails it too

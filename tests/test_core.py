@@ -181,6 +181,16 @@ class TestCooperativity:
         )
         assert cooperativity(cfg, 1e6) == pytest.approx(0.25, rel=1e-15)
 
+    def test_overflowing_numerator_is_a_domain_error(self):
+        # the exact C is 4e109, but 4 n_p g_eo^2 = 4e309 is past the doubles,
+        # where C read inf and (1+C)^2 was blamed
+        cfg = TransducerConfig(Mode("a", 1e15, 0.0, 1e100), Mode("b", 1e10, 0.0, 1e100),
+                               Mode("p", 1e15, 1e6, 1e6), 1e150)
+        for call in (cooperativity, conversion_efficiency):
+            with pytest.raises(DomainError, match="C's numerator 4 n_p g_eo\\^2 is not a normal"):
+                call(cfg, 1e9)
+        assert cooperativity(cfg, 1.0) == pytest.approx(4e100, rel=1e-15)
+
     def test_zero_kappa_product_rejected(self):
         cfg = SimpleNamespace(
             mode_a=SimpleNamespace(kappa=0.0),
