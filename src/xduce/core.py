@@ -357,17 +357,31 @@ def _pump_buildup(mode_p: Mode, pump_detuning: float) -> float:
     return buildup
 
 
-def photon_number(mode_p: Mode, pump_power, pump_detuning: float = 0.0):
+def _pump_photons(mode_p: Mode, pump_power, pump_detuning: float):
+    """n_p at a float or a NumPy array of powers, with the same bits, and
+    whether n_p and its numerator kappa_p_ex P are carried by a double."""
+    drive = mode_p.kappa_ex * pump_power
+    n_p = drive / _pump_buildup(mode_p, pump_detuning)
+    return n_p, _carried(drive, mode_p.kappa_ex, pump_power) & _carried(n_p, drive)
+
+
+def photon_number(mode_p: Mode, pump_power: float, pump_detuning: float = 0.0) -> float:
     """Steady-state pump photon number from the drive power.
 
     Single-mode input-output buildup:
 
         n_p = kappa_p_ex * P / (hbar * omega_p * ((kappa_p/2)^2 + delta_p^2))
 
-    Linear in the power, zero gives exactly zero; a float or a NumPy array
-    of powers gives the same bits.
+    Linear in the power, zero gives exactly zero. Where n_p or kappa_p_ex P
+    is not carried by a double it raises :class:`DomainError`: with
+    kappa_p_ex = 2 pi rad/s, P = 1e-318 W put n_p off by 2e-7.
     """
-    return mode_p.kappa_ex * pump_power / _pump_buildup(mode_p, pump_detuning)
+    n_p, carried = _pump_photons(mode_p, pump_power, pump_detuning)
+    if not carried:
+        raise DomainError(f"n_p = kappa_p_ex * P / buildup and its numerator must be normal "
+                          f"doubles (or 0 for P = 0): kappa_p_ex * P = "
+                          f"{mode_p.kappa_ex * pump_power!r}, n_p = {n_p!r}")
+    return n_p
 
 
 def intracavity_photon_number(mode_p: Mode, drive: DriveCondition) -> float:

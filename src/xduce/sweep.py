@@ -154,32 +154,36 @@ def retune_microwave_q(cfg: TransducerConfig, q_b: float) -> TransducerConfig:
     return TransducerConfig(cfg.mode_a, new_b, cfg.mode_p, cfg.g_eo)
 
 
-def _columns(cfg: TransducerConfig, powers: np.ndarray, n_p: np.ndarray, q_b: float,
-             options: HeraldOptions | None) -> tuple:
-    """C, eta_i, eta and infidelity (None without ``options``) lists at one
-    Q, from the photon numbers ``n_p`` at ``powers``. The first power where
-    the chain fails (a non-finite (1+C)^2, C's numerator not carried by a
-    double, or mu not below 10) is run through the scalar API, and its
-    error is raised with the point's coordinates. Infidelity goes through
-    ``math.exp`` like the scalar breakdown, once if r0 is fixed."""
+def _columns(spec: SweepSpec, q_b: float, powers: np.ndarray, n_p: np.ndarray,
+             carried: np.ndarray) -> tuple:
+    """C, eta_i, eta and infidelity (None unless requested) lists at one Q,
+    from the photon numbers ``n_p`` at ``powers``, ``carried`` where n_p is
+    carried by a double. The first power where the chain fails (n_p not
+    carried, a non-finite (1+C)^2, C's numerator not carried, or mu not
+    below 10) is run through the scalar API, and its error is raised with
+    the point's coordinates. Infidelity goes through ``math.exp`` like the
+    scalar breakdown, once if r0 is fixed."""
     import numpy as np
 
+    cfg = retune_microwave_q(spec.config, q_b)
+    options = spec.herald_options if "infidelity" in spec.outputs else None
     with np.errstate(all="ignore"):
         g_eo_sq, *scalars = core.chain_scalars(cfg)
         c, square, eta_i, eta = core.efficiency_chain(n_p, g_eo_sq, *scalars)
-        valid = np.isfinite(square) & core._carried(4.0 * n_p * g_eo_sq, n_p, g_eo_sq)
+        valid = carried & np.isfinite(square) & core._carried(4.0 * n_p * g_eo_sq, n_p, g_eo_sq)
         if options is not None:
             mu = options.rate_for(c, cfg.mode_b.kappa) * options.dt
             valid &= mu < herald.MAX_POISSON_MEAN  # a nan mu fails it too
     if not valid.all():
-        i = int(valid.argmin())
+        power = float(powers[valid.argmin()])
         try:
-            point = core.conversion_efficiency(cfg, n_p[i])
+            point = core.conversion_efficiency(
+                cfg, core.photon_number(cfg.mode_p, power, spec.pump_detuning))
             model = herald.HeraldModel(options.rate_for(point.cooperativity, cfg.mode_b.kappa),
                                        options.dt, Scheme.BLUE)
             herald.blue_probabilities(model.mu)
         except DomainError as exc:
-            raise type(exc)(f"sweep failed at Q_b = {q_b:g}, power = {powers[i]:g} W: "
+            raise type(exc)(f"sweep failed at Q_b = {q_b:g}, power = {power:g} W: "
                             f"{exc}") from None
     infidelity = None
     if options is not None and options.r0_mapping == "direct":
@@ -195,13 +199,11 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     import numpy as np
 
     powers = spec.power_axis.grid()
-    options = spec.herald_options if "infidelity" in spec.outputs else None
     q_axis = sorted(spec.q_axis)
     # retuning Q changes only mode b, so n_p is one column for every Q
     with np.errstate(all="ignore"):
-        n_p = core.photon_number(spec.config.mode_p, powers, spec.pump_detuning)
-    per_q = [_columns(retune_microwave_q(spec.config, q_b), powers, n_p, q_b, options)
-             for q_b in q_axis]
+        n_p, carried = core._pump_photons(spec.config.mode_p, powers, spec.pump_detuning)
+    per_q = [_columns(spec, q_b, powers, n_p, carried) for q_b in q_axis]
     c, eta_i, eta, infidelity = (None if parts[0] is None else list(parts)
                                  for parts in zip(*per_q))
     return SweepTable(powers.tolist(), q_axis, n_p.tolist(), c, eta_i, eta, infidelity)

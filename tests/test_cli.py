@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xduce import (
+    HBAR,
     DriveCondition,
     HeraldModel,
     InstabilityError,
@@ -849,6 +850,12 @@ TINY_KAPPA = (("a_kappa_i_hz", "2.30525e-161"), ("a_kappa_ex_hz", "5.54244e-162"
               ("g_eo_hz", "3.10095e-240"), ("power_w", "5.59361e-14"))
 
 
+# The pump linewidth at 1e-150 Hz: the buildup hbar omega_p (kappa_p/2)^2 is
+# the subnormal 5.06e-318.
+SUBNORMAL_BUILDUP = (("p_kappa_i_hz", "1e-150"), ("p_kappa_ex_hz", "1e-150"),
+                     ("power_w", "1e-160"))
+
+
 def with_fields(text: str, fields) -> str:
     for key, value in fields:
         text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
@@ -876,6 +883,18 @@ def test_tiny_kappa_config_exits_3(tmp_path, command):
     assert proc.stdout == ""
     assert proc.stderr.startswith("domain error: ")
     assert " is not a normal double" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["efficiency", "sweep", "verify"])
+def test_subnormal_pump_buildup_exits_3(tmp_path, capsys, command):
+    # n_p came out off by 2.7e-7 relative, and verify passed, as both of its
+    # sides shared that n_p
+    text = with_fields(SHIPPED_FIXTURE.read_text(), SUBNORMAL_BUILDUP)
+    assert run_cli([command, "--config", write_config(tmp_path, text)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error: pump buildup hbar * omega_p * ((kappa_p/2)^2 "
+                                   "+ delta_p^2) = 5.06")
 
 
 def _log_uniform(lo: float, hi: float):
@@ -924,6 +943,19 @@ def assert_cooperativity(c: float, n_p: float, cfg) -> None:
         assert abs(Fraction(c) - exact) <= exact / 10**9
 
 
+def assert_photon_number(n_p: float, mode_p, power: float) -> None:
+    """n_p is 0 only where the exact n_p (a ``Fraction`` of the power and the
+    loaded rates, on resonance) is, and otherwise within 1e-9 of it, which
+    is then a normal double."""
+    exact = (Fraction(mode_p.kappa_ex) * Fraction(power) / Fraction(HBAR)
+             / Fraction(mode_p.omega) / (Fraction(mode_p.kappa) / 2) ** 2)
+    if n_p == 0.0:
+        assert exact == 0
+    else:
+        assert exact >= Fraction(sys.float_info.min)
+        assert abs(Fraction(n_p) - exact) <= exact / 10**9
+
+
 def assert_probabilities(record: dict, *keys) -> None:
     for key in keys:
         assert 0.0 <= record[key] <= 1.0, key
@@ -934,6 +966,7 @@ def assert_probabilities(record: dict, *keys) -> None:
 @example(text=with_fields(SHIPPED_FIXTURE.read_text(), TINY_KAPPA))
 @example(text=with_fields(SHIPPED_FIXTURE.read_text(),
                           (("scheme", "blue"), ("r0_per_s", "1e-6"))))
+@example(text=with_fields(SHIPPED_FIXTURE.read_text(), SUBNORMAL_BUILDUP))
 def test_commands_keep_their_contract_on_hostile_configs(text):
     # every exit is a success, a config error or a domain error, and what a
     # success prints is in range; verify never exits 6 here, so its oracle
@@ -953,6 +986,7 @@ def test_commands_keep_their_contract_on_hostile_configs(text):
         run = load_config(path) if records else None
     for record in records.get("efficiency", ()):
         assert_probabilities(record, "eta_internal", "eta", "extraction_a", "extraction_b")
+        assert_photon_number(record["n_p"], run.transducer.mode_p, run.drive.pump_power)
         assert_cooperativity(record["cooperativity"], record["n_p"], run.transducer)
     for record in records.get("herald", ()):
         assert_probabilities(record, *(key for key in ("p0", "p1", "p11")
@@ -961,17 +995,18 @@ def test_commands_keep_their_contract_on_hostile_configs(text):
         assert record["infidelity"] >= 0.0
     for record in records.get("sweep", ()):
         assert_probabilities(record, "eta_internal", "eta")
+        assert_photon_number(record["n_p"], run.transducer.mode_p, record["pump_power_w"])
         assert_cooperativity(record["cooperativity"], record["n_p"],
                              retune_microwave_q(run.transducer, record["q_b"]))
         assert record["infidelity"] >= 0.0
 
 
 def test_verify_with_a_subnormal_eta_exits_3(tmp_path):
-    # at 1e-320 W eta is about 4.7e-316, below the smallest normal double,
-    # where it cannot carry 9 significant digits
-    text = SHIPPED_FIXTURE.read_text()
-    assert "power_w = 2e-5" in text
-    cfg = write_config(tmp_path, text.replace("power_w = 2e-5", "power_w = 1e-320"))
+    # n_p, g_eo^2 and C's numerator are normal doubles, but C and eta (about
+    # 4.7e-316) are below them, where eta cannot carry 9 significant digits
+    text = with_fields(SHIPPED_FIXTURE.read_text(),
+                       (("g_eo_hz", "1e-153"), ("power_w", "1.6e-11")))
+    cfg = write_config(tmp_path, text)
     proc = fresh_python("-m", "xduce.cli", "verify", "--config", cfg)
     assert proc.returncode == 3
     assert proc.stdout == ""

@@ -49,7 +49,7 @@ from xduce import (
     storage_loss_infidelity,
 )
 from xduce.config import RunConfig, load_config
-from xduce.core import _Frozen
+from xduce.core import _Frozen, photon_number
 from conftest import TWO_PI, checked_float_types, make_device
 
 SHIPPED_FIXTURE = Path(__file__).resolve().parent.parent / "configs" / "device.ini"
@@ -150,6 +150,33 @@ class TestIntracavityPhotonNumber:
         mode_p = Mode("p", TWO_PI * 193.5e12, 1e-170, 1e-170)
         with pytest.raises(DomainError, match="positive and finite"):
             intracavity_photon_number(mode_p, DriveCondition(pump_power=1e-3))
+
+    def test_subnormal_buildup_is_a_domain_error(self):
+        # the buildup is 5.06e-318, below the normal doubles: n_p came out
+        # off by 2.7e-7 relative
+        mode_p = Mode("p", TWO_PI * 193.5e12, TWO_PI * 1e-150, TWO_PI * 1e-150)
+        with pytest.raises(DomainError, match=r"= 5\.06\d*e-318 is not a normal double: it "
+                                              r"must be positive and finite"):
+            intracavity_photon_number(mode_p, DriveCondition(pump_power=1e-160))
+
+    @pytest.mark.parametrize("power", [1e-318, 1e-320])
+    def test_subnormal_numerator_is_a_domain_error(self, power):
+        # kappa_p_ex * P is subnormal: n_p came out off by 2.1e-7 (1e-318 W)
+        # and 1.3e-5 (1e-320 W) relative
+        mode_p = Mode("p", TWO_PI * 193.5e12, TWO_PI * 1e6, TWO_PI)
+        with pytest.raises(DomainError, match=r"kappa_p_ex \* P = 6\.28\d*e-3(18|20), n_p = "):
+            photon_number(mode_p, power)
+        exact = (Fraction(mode_p.kappa_ex) * Fraction(1e-300) / Fraction(HBAR)
+                 / Fraction(mode_p.omega) / (Fraction(mode_p.kappa) / 2) ** 2)
+        assert photon_number(mode_p, 1e-300) == pytest.approx(float(exact), rel=1e-15)
+        assert photon_number(mode_p, 0.0) == 0.0
+
+    def test_underflowing_photon_number_is_a_domain_error(self):
+        # kappa_p_ex * P = 1e-150 and the buildup, about 1e281, are normal
+        # doubles, but n_p, about 1e-431, is not: it would read 0
+        mode_p = Mode("p", 1e15, 1e150, 1e150)
+        with pytest.raises(DomainError, match=r"kappa_p_ex \* P = 1e-150, n_p = 0\.0$"):
+            photon_number(mode_p, 1e-300)
 
     @pytest.mark.parametrize("detuning", [1e200, -1e160])
     def test_huge_detuning_is_a_domain_error(self, detuning):

@@ -242,6 +242,14 @@ class TestRunSweep:
         with pytest.raises(ModelRegimeError, match="Q_b = 9e\\+06"):
             run_sweep(spec)
 
+    def test_photon_number_error_carries_coordinates(self, device):
+        # kappa_p_ex * P is subnormal at the lowest power, for every Q
+        spec = SweepSpec(config=device, power_axis=PowerAxis(1e-318, 1e-3, points=2),
+                         q_axis=(9e7, 9e6))
+        with pytest.raises(DomainError, match=r"^sweep failed at Q_b = 9e\+06, power = 9\.99\d*e-319 W: "
+                                              r"n_p = kappa_p_ex \* P / buildup"):
+            run_sweep(spec)
+
     def test_infidelity_requires_herald_options(self, device):
         with pytest.raises(DomainError):
             SweepSpec(
@@ -392,7 +400,9 @@ def sweep_specs(draw):
                   else _log_float(-2.0, 4.0)),
     )
     if draw(st.booleans()):
-        low = draw(_log_float(-12.0, 2.0))
+        # one draw in five so weak that kappa_p_ex P can leave the normal doubles
+        low = draw(_log_float(-320.0, -300.0) if draw(st.integers(0, 4)) == 0
+                   else _log_float(-12.0, 2.0))
         axis = PowerAxis(low, low * draw(_log_float(0.5, 8.0)),
                          points=draw(st.integers(2, 40)), spacing="log")
     else:
