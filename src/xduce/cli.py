@@ -201,6 +201,8 @@ def cmd_herald(run: RunConfig, args) -> int:
 
 
 def cmd_verify(run: RunConfig, args) -> int:
+    # everything is computed before the first print, so an error leaves
+    # stdout empty
     cfg = run.transducer
     n_p = core.intracavity_photon_number(cfg.mode_p, run.drive)
     breakdown = core.conversion_efficiency(cfg, n_p)
@@ -212,32 +214,27 @@ def cmd_verify(run: RunConfig, args) -> int:
             raise DomainError(f"{name} = {value!r} is subnormal: a subnormal double carries "
                               f"fewer than 9 significant digits, so it cannot carry the "
                               f"{VERIFY_TOLERANCE:g} agreement")
-    if eta > 0.0:
-        deviation = abs(conversion - eta) / eta
-    else:
-        deviation = abs(conversion - eta)
-    print(f"eta_closed_form = {eta!r}")
-    print(f"conversion_numeric = {conversion!r}")
-    print(f"max_relative_deviation = {deviation!r}")
-
+    deviation = abs(conversion - eta) / (eta if eta > 0.0 else 1.0)
     # probe offsets: the midpoints of VERIFY_PROBES equal cells of [-span, span]
     span = 5.0 * max(red_sys.kappa_a, red_sys.kappa_b)
     points = scattering.conversion_spectrum(
         red_sys, [span * ((2 * k + 1) / VERIFY_PROBES - 1.0) for k in range(VERIFY_PROBES)])
     worst_excess = max(0.0, *(p.conversion - 1.0 for p in points))
     worst_asym = max(0.0, *(abs(abs(p.amplitude_ab) - abs(p.amplitude_ba)) for p in points))
+    blue_sys = scattering.build_linearized(cfg, n_p, Scheme.BLUE)
+    threshold = scattering.parametric_threshold(blue_sys)
+    unstable = run.drive.scheme is Scheme.BLUE and scattering.blue_unstable(blue_sys)
+
+    print(f"eta_closed_form = {eta!r}")
+    print(f"conversion_numeric = {conversion!r}")
+    print(f"max_relative_deviation = {deviation!r}")
     print(f"probe_offsets_checked = {VERIFY_PROBES}")
     print(f"max_conversion_excess_over_1 = {worst_excess!r}")
     print(f"max_reciprocity_gap = {worst_asym!r}")
-
-    blue_sys = scattering.build_linearized(cfg, n_p, Scheme.BLUE)
-    threshold = scattering.parametric_threshold(blue_sys)
     print(f"blue_parametric_threshold_C = {threshold!r}")
-    if run.drive.scheme is Scheme.BLUE and scattering.blue_unstable(blue_sys):
-        print(
-            f"blue drive is unstable: C = {breakdown.cooperativity!r} is at or "
-            f"beyond the threshold"
-        )
+    if unstable:
+        print(f"blue drive is unstable: C = {breakdown.cooperativity!r} is at or "
+              f"beyond the threshold")
     if deviation > VERIFY_TOLERANCE:
         print(f"verification FAILED: deviation above {VERIFY_TOLERANCE:g}", file=sys.stderr)
         return 6
