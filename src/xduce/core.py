@@ -38,6 +38,8 @@ NORMAL_MIN = sys.float_info.min
 def _carried(product, a=1.0, b=1.0):
     """Whether ``product``, of non-negative factors among them ``a`` and ``b``, is
     normal, or 0 as ``a`` or ``b`` is 0: a float gives a bool, an array a mask."""
+    if product.__class__ is float and NORMAL_MIN <= product < math.inf:
+        return True  # a normal float, the common case, at the cost of one comparison
     return ((NORMAL_MIN <= product) | (a == 0.0) | (b == 0.0)) & (product < math.inf)
 
 
@@ -379,7 +381,7 @@ def photon_number(mode_p: Mode, pump_power: float, pump_detuning: float = 0.0) -
     n_p, carried = _pump_photons(mode_p, pump_power, pump_detuning)
     if not carried:
         raise DomainError(f"n_p = kappa_p_ex * P / buildup and its numerator must be normal "
-                          f"doubles (or 0 for P = 0): kappa_p_ex * P = "
+                          f"doubles (or 0, for P = 0 or kappa_p_ex = 0): kappa_p_ex * P = "
                           f"{mode_p.kappa_ex * pump_power!r}, n_p = {n_p!r}")
     return n_p
 
@@ -459,6 +461,17 @@ def internal_efficiency(c: float) -> float:
     return eta_i
 
 
+def _efficiency(cfg: TransducerConfig, n_p: float) -> tuple[float, float, float, float, float]:
+    """The fields of :func:`conversion_efficiency`, in order, as a tuple."""
+    n_p = _require_non_negative(n_p, "n_p")
+    g_eo_sq, kappa_ab, ex_a, ex_b = chain_scalars(cfg)
+    _check_numerator(n_p, g_eo_sq)
+    c, square, eta_i, eta = efficiency_chain(n_p, g_eo_sq, kappa_ab, ex_a, ex_b)
+    if not math.isfinite(square):
+        raise overflow_error(c)
+    return ex_a, ex_b, c, eta_i, eta
+
+
 def conversion_efficiency(cfg: TransducerConfig, n_p: float) -> EfficiencyBreakdown:
     """Bidirectional conversion efficiency and its factors.
 
@@ -467,13 +480,7 @@ def conversion_efficiency(cfg: TransducerConfig, n_p: float) -> EfficiencyBreakd
     losses. eta is the success probability of the transduction process and
     lies in [0, 1].
     """
-    n_p = _require_non_negative(n_p, "n_p")
-    g_eo_sq, kappa_ab, ex_a, ex_b = chain_scalars(cfg)
-    _check_numerator(n_p, g_eo_sq)
-    c, square, eta_i, eta = efficiency_chain(n_p, g_eo_sq, kappa_ab, ex_a, ex_b)
-    if not math.isfinite(square):
-        raise overflow_error(c)
-    return EfficiencyBreakdown(ex_a, ex_b, c, eta_i, eta)
+    return EfficiencyBreakdown(*_efficiency(cfg, n_p))
 
 
 def critical_photon_number(cfg: TransducerConfig) -> float:

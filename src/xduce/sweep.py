@@ -237,4 +237,4 @@ def maximize_efficiency(
         raise BracketingError(f"the optimum P* = {p_opt!r} W is outside the bracket "
                               f"{core._shown(power_bracket)}")
     n_p = core.photon_number(cfg.mode_p, p_opt, pump_detuning)
-    return p_opt, core.conversion_efficiency(cfg, n_p).eta
+    return p_opt, core._efficiency(cfg, n_p)[4]  # eta, without building the breakdown

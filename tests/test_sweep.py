@@ -246,8 +246,9 @@ class TestRunSweep:
         # kappa_p_ex * P is subnormal at the lowest power, for every Q
         spec = SweepSpec(config=device, power_axis=PowerAxis(1e-318, 1e-3, points=2),
                          q_axis=(9e7, 9e6))
-        with pytest.raises(DomainError, match=r"^sweep failed at Q_b = 9e\+06, power = 9\.99\d*e-319 W: "
-                                              r"n_p = kappa_p_ex \* P / buildup"):
+        # the grid's first power, 1e-318 W through geomspace
+        where = r"^sweep failed at Q_b = 9e\+06, power = 9\.99\d*e-319 W: "
+        with pytest.raises(DomainError, match=where + r"n_p = kappa_p_ex \* P / buildup"):
             run_sweep(spec)
 
     def test_infidelity_requires_herald_options(self, device):
