@@ -337,11 +337,6 @@ def kappa_to_lifetime(kappa: float) -> float:
     return 1.0 / kappa
 
 
-def overflow_error(c: float) -> DomainError:
-    """The error for a cooperativity whose (1+C)^2 is not a finite double."""
-    return DomainError(f"C = {c!r} is too large: (1+C)^2 overflows")
-
-
 def _pump_buildup(mode_p: Mode, pump_detuning: float) -> float:
     kp = mode_p.kappa
     pump_detuning = _require_finite(pump_detuning, "pump_detuning")
@@ -408,31 +403,31 @@ def _coupling(cfg: TransducerConfig) -> tuple[float, float]:
     return g_eo_sq, kappa_ab
 
 
-def chain_scalars(cfg: TransducerConfig) -> tuple[float, float, float, float]:
-    """The device's arguments to :func:`efficiency_chain`."""
-    return (*_coupling(cfg), cfg.mode_a.extraction, cfg.mode_b.extraction)
-
-
 def efficiency_chain(n_p, g_eo_sq: float, kappa_ab: float, extraction_a: float,
                      extraction_b: float):
-    """C, (1+C)^2, eta_i and eta from the pump photon number, in plain
-    arithmetic: ``n_p`` may be a float or a NumPy array, with the same bits.
-    A non-finite (1+C)^2 means the chain overflowed; callers reject it."""
-    c = 4.0 * n_p * g_eo_sq / kappa_ab
+    """C, eta_i and eta from the pump photon number, in plain arithmetic, and
+    the chain's two verdicts: whether C's numerator 4 n_p g_eo^2 is carried
+    by a double, and whether (1+C)^2 is finite. ``n_p`` may be a float or a
+    NumPy array, with the same bits; a float gives bools, an array masks."""
+    numerator = 4.0 * n_p * g_eo_sq
+    c = numerator / kappa_ab
     square = (1.0 + c) * (1.0 + c)
     eta_i = 4.0 * c / square
     # (1+C)^2 >= 4C, but within about 1e-12 of C = 1 a rounded 1+C can put
     # 4C/(1+C)^2 an ULP above 1; taking off the excess gives exactly 1 there
     # and leaves every eta_i <= 1 bit for bit
     eta_i = eta_i - (eta_i > 1.0) * (eta_i - 1.0)
-    return c, square, eta_i, extraction_a * extraction_b * eta_i
+    return (c, eta_i, extraction_a * extraction_b * eta_i,
+            _carried(numerator, n_p, g_eo_sq), square < math.inf)
 
 
-def _check_numerator(n_p: float, g_eo_sq: float) -> None:
-    """Reject a C whose numerator 4 n_p g_eo^2 is not carried by a double."""
-    if not _carried(4.0 * n_p * g_eo_sq, n_p, g_eo_sq):
-        raise DomainError(f"C's numerator 4 n_p g_eo^2 is not a normal double: "
-                          f"n_p = {n_p!r}, g_eo^2 = {g_eo_sq!r}")
+def _chain_error(n_p: float, g_eo_sq: float, c: float, carried: bool) -> DomainError:
+    """The error for a chain whose verdicts fail: C's numerator, if it is
+    not carried, else (1+C)^2."""
+    if not carried:
+        return DomainError(f"C's numerator 4 n_p g_eo^2 is not a normal double: "
+                           f"n_p = {n_p!r}, g_eo^2 = {g_eo_sq!r}")
+    return DomainError(f"C = {c!r} is too large: (1+C)^2 overflows")
 
 
 def cooperativity(cfg: TransducerConfig, n_p: float) -> float:
@@ -443,8 +438,10 @@ def cooperativity(cfg: TransducerConfig, n_p: float) -> float:
     """
     n_p = _require_non_negative(n_p, "n_p")
     g_eo_sq, kappa_ab = _coupling(cfg)
-    _check_numerator(n_p, g_eo_sq)
-    return efficiency_chain(n_p, g_eo_sq, kappa_ab, 1.0, 1.0)[0]
+    c, _, _, carried, _ = efficiency_chain(n_p, g_eo_sq, kappa_ab, 1.0, 1.0)
+    if not carried:
+        raise _chain_error(n_p, g_eo_sq, c, carried)
+    return c
 
 
 def internal_efficiency(c: float) -> float:
@@ -455,20 +452,20 @@ def internal_efficiency(c: float) -> float:
     """
     c = _require_non_negative(c, "C")
     # the chain at n_p = C with 4 g_eo^2 = kappa_a kappa_b has this C
-    _, square, eta_i, _ = efficiency_chain(c, 1.0, 4.0, 1.0, 1.0)
-    if not math.isfinite(square):
-        raise overflow_error(c)
+    _, eta_i, _, _, finite = efficiency_chain(c, 1.0, 4.0, 1.0, 1.0)
+    if not finite:
+        raise _chain_error(c, 1.0, c, True)
     return eta_i
 
 
 def _efficiency(cfg: TransducerConfig, n_p: float) -> tuple[float, float, float, float, float]:
     """The fields of :func:`conversion_efficiency`, in order, as a tuple."""
     n_p = _require_non_negative(n_p, "n_p")
-    g_eo_sq, kappa_ab, ex_a, ex_b = chain_scalars(cfg)
-    _check_numerator(n_p, g_eo_sq)
-    c, square, eta_i, eta = efficiency_chain(n_p, g_eo_sq, kappa_ab, ex_a, ex_b)
-    if not math.isfinite(square):
-        raise overflow_error(c)
+    g_eo_sq, kappa_ab = _coupling(cfg)
+    ex_a, ex_b = cfg.mode_a.extraction, cfg.mode_b.extraction
+    c, eta_i, eta, carried, finite = efficiency_chain(n_p, g_eo_sq, kappa_ab, ex_a, ex_b)
+    if not (carried and finite):
+        raise _chain_error(n_p, g_eo_sq, c, carried)
     return ex_a, ex_b, c, eta_i, eta
 
 

@@ -158,19 +158,19 @@ def _columns(spec: SweepSpec, q_b: float, powers: np.ndarray, n_p: np.ndarray,
              carried: np.ndarray) -> tuple:
     """C, eta_i, eta and infidelity (None unless requested) lists at one Q,
     from the photon numbers ``n_p`` at ``powers``, ``carried`` where n_p is
-    carried by a double. The first power where the chain fails (n_p not
-    carried, a non-finite (1+C)^2, C's numerator not carried, or mu not
-    below 10) is run through the scalar API, and its error is raised with
-    the point's coordinates. Infidelity goes through ``math.exp`` like the
-    scalar breakdown, once if r0 is fixed."""
+    carried by a double. The first power where the chain fails (n_p or the
+    chain's verdicts, or mu not below 10) is run through the scalar API,
+    and its error is raised with the point's coordinates. Infidelity goes
+    through ``math.exp`` like the scalar breakdown, once if r0 is fixed."""
     import numpy as np
 
     cfg = retune_microwave_q(spec.config, q_b)
     options = spec.herald_options if "infidelity" in spec.outputs else None
+    g_eo_sq, kappa_ab = core._coupling(cfg)
     with np.errstate(all="ignore"):
-        g_eo_sq, *scalars = core.chain_scalars(cfg)
-        c, square, eta_i, eta = core.efficiency_chain(n_p, g_eo_sq, *scalars)
-        valid = carried & np.isfinite(square) & core._carried(4.0 * n_p * g_eo_sq, n_p, g_eo_sq)
+        c, eta_i, eta, numerator_carried, finite = core.efficiency_chain(
+            n_p, g_eo_sq, kappa_ab, cfg.mode_a.extraction, cfg.mode_b.extraction)
+        valid = carried & numerator_carried & finite
         if options is not None:
             mu = options.rate_for(c, cfg.mode_b.kappa) * options.dt
             valid &= mu < herald.MAX_POISSON_MEAN  # a nan mu fails it too
