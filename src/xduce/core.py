@@ -343,10 +343,13 @@ def _pump_buildup(mode_p: Mode, pump_detuning: float) -> float:
     # products, not ** 2: C pow need not round correctly, and scaling every
     # rate and the power by 4^j must leave n_p the same bits
     squares = (kp / 2.0) * (kp / 2.0) + pump_detuning * pump_detuning
-    if not math.isfinite(squares):
-        raise DomainError(
-            f"(kappa_p/2)^2 + delta_p^2 overflows: kappa_p = {kp!r}, delta_p = {pump_detuning!r}"
-        )
+    if not _carried(squares):  # kappa_p > 0, so 0 here has underflowed
+        if squares == math.inf:
+            raise DomainError(f"(kappa_p/2)^2 + delta_p^2 overflows: kappa_p = {kp!r}, "
+                              f"delta_p = {pump_detuning!r}")
+        raise DomainError(f"(kappa_p/2)^2 + delta_p^2 = {squares!r} is not a normal double: "
+                          f"it must be positive and finite (kappa_p = {kp!r}, "
+                          f"delta_p = {pump_detuning!r})")
     buildup = HBAR * mode_p.omega * squares
     if not _carried(buildup):
         raise DomainError(f"pump buildup hbar * omega_p * ((kappa_p/2)^2 + delta_p^2) = "
@@ -485,7 +488,12 @@ def critical_photon_number(cfg: TransducerConfig) -> float:
     if cfg.g_eo == 0.0:
         raise NoCriticalPointError("g_eo = 0: no pump level reaches critical coupling")
     g_eo_sq, kappa_ab = _coupling(cfg)
-    return kappa_ab / (4.0 * g_eo_sq)
+    n_star = kappa_ab / (4.0 * g_eo_sq)
+    if not _carried(n_star):
+        raise DomainError(f"critical photon number n_p* = kappa_a kappa_b / (4 g_eo^2) = "
+                          f"{n_star!r} is not a normal double: kappa_a kappa_b = "
+                          f"{kappa_ab!r}, g_eo^2 = {g_eo_sq!r}")
+    return n_star
 
 
 def critical_pump_power(cfg: TransducerConfig, pump_detuning: float = 0.0) -> float:
@@ -498,4 +506,10 @@ def critical_pump_power(cfg: TransducerConfig, pump_detuning: float = 0.0) -> fl
     if cfg.mode_p.kappa_ex == 0.0:
         raise UndriveablePumpError("pump mode has kappa_ex = 0 and cannot be driven")
     n_star = critical_photon_number(cfg)
-    return n_star * _pump_buildup(cfg.mode_p, pump_detuning) / cfg.mode_p.kappa_ex
+    drive = n_star * _pump_buildup(cfg.mode_p, pump_detuning)
+    p_star = drive / cfg.mode_p.kappa_ex
+    if not (_carried(drive) and _carried(p_star)):
+        raise DomainError(f"critical pump power P* = n_p* * buildup / kappa_p_ex = {p_star!r} W "
+                          f"and its numerator kappa_p_ex P* = n_p* * buildup = {drive!r} must be "
+                          f"normal doubles (kappa_p_ex = {cfg.mode_p.kappa_ex!r})")
+    return p_star

@@ -154,19 +154,40 @@ def retune_microwave_q(cfg: TransducerConfig, q_b: float) -> TransducerConfig:
     return TransducerConfig(cfg.mode_a, new_b, cfg.mode_p, cfg.g_eo)
 
 
+def _raise_at(spec: SweepSpec, q_b: float, power: float) -> None:
+    """Run the point (``q_b``, ``power``) through the scalar API and raise its
+    error, if it has one, with the point's coordinates."""
+    options = spec.herald_options if "infidelity" in spec.outputs else None
+    try:
+        cfg = retune_microwave_q(spec.config, q_b)
+        point = core.conversion_efficiency(
+            cfg, core.photon_number(cfg.mode_p, power, spec.pump_detuning))
+        if options is not None:
+            model = herald.HeraldModel(options.rate_for(point.cooperativity, cfg.mode_b.kappa),
+                                       options.dt, Scheme.BLUE)
+            herald.blue_probabilities(model.mu)
+    except DomainError as exc:
+        raise type(exc)(f"sweep failed at Q_b = {q_b:g}, power = {power:g} W: {exc}") from None
+
+
 def _columns(spec: SweepSpec, q_b: float, powers: np.ndarray, n_p: np.ndarray,
              carried: np.ndarray) -> tuple:
     """C, eta_i, eta and infidelity (None unless requested) lists at one Q,
     from the photon numbers ``n_p`` at ``powers``, ``carried`` where n_p is
     carried by a double. The first power where the chain fails (n_p or the
-    chain's verdicts, or mu not below 10) is run through the scalar API,
-    and its error is raised with the point's coordinates. Infidelity goes
-    through ``math.exp`` like the scalar breakdown, once if r0 is fixed."""
+    chain's verdicts, or mu not below 10) is run through the scalar API, as
+    is the first power where the retuned device fails, and its error is
+    raised with the point's coordinates. Infidelity goes through
+    ``math.exp`` like the scalar breakdown, once if r0 is fixed."""
     import numpy as np
 
-    cfg = retune_microwave_q(spec.config, q_b)
     options = spec.herald_options if "infidelity" in spec.outputs else None
-    g_eo_sq, kappa_ab = core._coupling(cfg)
+    try:
+        cfg = retune_microwave_q(spec.config, q_b)
+        g_eo_sq, kappa_ab = core._coupling(cfg)
+    except DomainError:
+        _raise_at(spec, q_b, float(powers[0]))
+        raise
     with np.errstate(all="ignore"):
         c, eta_i, eta, numerator_carried, finite = core.efficiency_chain(
             n_p, g_eo_sq, kappa_ab, cfg.mode_a.extraction, cfg.mode_b.extraction)
@@ -175,16 +196,7 @@ def _columns(spec: SweepSpec, q_b: float, powers: np.ndarray, n_p: np.ndarray,
             mu = options.rate_for(c, cfg.mode_b.kappa) * options.dt
             valid &= mu < herald.MAX_POISSON_MEAN  # a nan mu fails it too
     if not valid.all():
-        power = float(powers[valid.argmin()])
-        try:
-            point = core.conversion_efficiency(
-                cfg, core.photon_number(cfg.mode_p, power, spec.pump_detuning))
-            model = herald.HeraldModel(options.rate_for(point.cooperativity, cfg.mode_b.kappa),
-                                       options.dt, Scheme.BLUE)
-            herald.blue_probabilities(model.mu)
-        except DomainError as exc:
-            raise type(exc)(f"sweep failed at Q_b = {q_b:g}, power = {power:g} W: "
-                            f"{exc}") from None
+        _raise_at(spec, q_b, float(powers[valid.argmin()]))
     infidelity = None
     if options is not None and options.r0_mapping == "direct":
         infidelity = [herald.blue_probabilities(mu)[4]] * len(powers)
@@ -201,8 +213,12 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     powers = spec.power_axis.grid()
     q_axis = sorted(spec.q_axis)
     # retuning Q changes only mode b, so n_p is one column for every Q
-    with np.errstate(all="ignore"):
-        n_p, carried = core._pump_photons(spec.config.mode_p, powers, spec.pump_detuning)
+    try:
+        with np.errstate(all="ignore"):
+            n_p, carried = core._pump_photons(spec.config.mode_p, powers, spec.pump_detuning)
+    except DomainError:  # the pump buildup, which fails at every point
+        _raise_at(spec, q_axis[0], float(powers[0]))
+        raise
     per_q = [_columns(spec, q_b, powers, n_p, carried) for q_b in q_axis]
     c, eta_i, eta, infidelity = (None if parts[0] is None else list(parts)
                                  for parts in zip(*per_q))

@@ -856,6 +856,12 @@ SUBNORMAL_BUILDUP = (("p_kappa_i_hz", "1e-150"), ("p_kappa_ex_hz", "1e-150"),
                      ("power_w", "1e-160"))
 
 
+# The pump linewidth at 1e-160 Hz under a 1e300 Hz pump: (kappa_p/2)^2 is the
+# subnormal 9.87e-320, but the buildup is a normal double.
+SUBNORMAL_SQUARE = (("p_frequency_hz", "1e300"), ("p_kappa_i_hz", "0.5e-160"),
+                    ("p_kappa_ex_hz", "0.5e-160"))
+
+
 def with_fields(text: str, fields) -> str:
     for key, value in fields:
         text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
@@ -893,8 +899,10 @@ def test_subnormal_pump_buildup_exits_3(tmp_path, capsys, command):
     assert run_cli([command, "--config", write_config(tmp_path, text)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("domain error: pump buildup hbar * omega_p * ((kappa_p/2)^2 "
-                                   "+ delta_p^2) = 5.06")
+    # the sweep names its first point, the grid's lowest power at the lowest Q
+    where = "sweep failed at Q_b = 9e+06, power = 1e-07 W: " * (command == "sweep")
+    assert captured.err.startswith(f"domain error: {where}pump buildup hbar * omega_p * "
+                                   f"((kappa_p/2)^2 + delta_p^2) = 5.06")
 
 
 def _log_uniform(lo: float, hi: float):
@@ -967,6 +975,7 @@ def assert_probabilities(record: dict, *keys) -> None:
 @example(text=with_fields(SHIPPED_FIXTURE.read_text(),
                           (("scheme", "blue"), ("r0_per_s", "1e-6"))))
 @example(text=with_fields(SHIPPED_FIXTURE.read_text(), SUBNORMAL_BUILDUP))
+@example(text=with_fields(SHIPPED_FIXTURE.read_text(), SUBNORMAL_SQUARE))
 def test_commands_keep_their_contract_on_hostile_configs(text):
     # every exit is a success, a config error or a domain error, and what a
     # success prints is in range; verify never exits 6 here, so its oracle

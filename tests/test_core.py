@@ -178,6 +178,21 @@ class TestIntracavityPhotonNumber:
         with pytest.raises(DomainError, match=r"kappa_p_ex \* P = 1e-150, n_p = 0\.0$"):
             photon_number(mode_p, 1e-300)
 
+    def test_subnormal_square_behind_a_huge_omega_is_a_domain_error(self):
+        # (kappa_p/2)^2 is the subnormal 9.87e-320, but omega_p = 2 pi 1e300
+        # rad/s lifts the buildup into the normal doubles: n_p came out
+        # 4.80e-111, off by 1.5e-5 relative
+        mode_p = Mode("p", TWO_PI * 1e300, TWO_PI * 0.5e-160, TWO_PI * 0.5e-160)
+        with pytest.raises(DomainError, match=r"^\(kappa_p/2\)\^2 \+ delta_p\^2 = 9\.869\d*e-320 "
+                                              r"is not a normal double: it must be positive "
+                                              r"and finite"):
+            photon_number(mode_p, 1e-3)
+        # a detuning whose square is a normal double carries the sum
+        exact = (Fraction(mode_p.kappa_ex) * Fraction(1e-3) / Fraction(HBAR)
+                 / Fraction(mode_p.omega)
+                 / ((Fraction(mode_p.kappa) / 2) ** 2 + Fraction(1e-65) ** 2))
+        assert photon_number(mode_p, 1e-3, 1e-65) == pytest.approx(float(exact), rel=1e-15)
+
     @pytest.mark.parametrize("detuning", [1e200, -1e160])
     def test_huge_detuning_is_a_domain_error(self, detuning):
         mode_p = Mode("p", TWO_PI * 193.5e12, TWO_PI * 10e6, TWO_PI * 35e6)
@@ -387,6 +402,34 @@ class TestCriticalPoints:
         # direct arithmetic on the fixture device, checked against a dense
         # brute-force scan of eta(P) during development
         assert critical_pump_power(device) == pytest.approx(5.6647919647578456e-05, rel=1e-12)
+
+    def test_critical_photon_number_beyond_the_doubles_is_a_domain_error(self):
+        # the exact n_p* is 1e-600: n_p* and P* read 0.0, and the optimum's
+        # search blamed the bracket
+        cfg = TransducerConfig(Mode("a", 1e15, 0.0, 2e-150), Mode("b", 1e10, 0.0, 2e-150),
+                               Mode("p", 1e15, 1e6, 1e6), 1e150)
+        for call in (critical_photon_number, critical_pump_power,
+                     lambda cfg: maximize_efficiency(cfg, (0.0, 1.0))):
+            with pytest.raises(DomainError, match=r"^critical photon number n_p\* = kappa_a "
+                                                  r"kappa_b / \(4 g_eo\^2\) = 0\.0 is not a"):
+                call(cfg)
+
+    @pytest.mark.parametrize("kappa, mode_p, g_eo, shown", [
+        # n_p* = 2.5e299 times a buildup of about 1e281 overflows
+        (1e10, Mode("p", 1e15, 1e150, 1e150), 1e-140, r"inf W and its numerator .* = inf "),
+        # n_p* * buildup is the subnormal 6.59e-315, which put P* = 6.59e-295
+        # W off by 1.6e-10 relative
+        (1e-100, Mode("p", 1e15, 2e6, 1e-20), 2e53, r"6\.59\d*e-295 W and its numerator "
+                                                    r".* = 6\.59\d*e-315 "),
+    ])
+    def test_critical_pump_power_beyond_the_doubles_is_a_domain_error(self, kappa, mode_p,
+                                                                       g_eo, shown):
+        cfg = TransducerConfig(Mode("a", 1e15, 0.0, kappa), Mode("b", 1e10, 0.0, kappa),
+                               mode_p, g_eo)
+        assert 0.0 < critical_photon_number(cfg) < math.inf
+        with pytest.raises(DomainError, match=r"^critical pump power P\* = n_p\* \* buildup / "
+                                              r"kappa_p_ex = " + shown):
+            critical_pump_power(cfg)
 
     def test_undriveable_pump(self):
         cfg = make_device()

@@ -391,19 +391,32 @@ def sweep_specs(draw):
         frac = draw(st.floats(0.0, 1.0))
         return Mode(label, omega, kappa * (1.0 - frac), kappa * frac)
 
-    kappa_p = draw(_log_float(6.0, 9.0))
+    def one_in_five(hostile, usual):
+        return draw(hostile if draw(st.integers(0, 4)) == 0 else usual)
+
+    def either_side(low, high):
+        return _log_float(*low) | _log_float(*high)
+
+    # one draw in five so wide or so narrow that the pump buildup can fail
+    kappa_p = one_in_five(either_side((-170.0, -150.0), (150.0, 170.0)), _log_float(6.0, 9.0))
+    # one draw in five so strong that (1+C)^2 overflows, and one in five
+    # where C's numerator 4 n_p g_eo^2 leaves the normal doubles: above them,
+    # or below them at powers so low that n_p is below 1e-3
+    coupling = draw(st.sampled_from(["overflow"] * 2 + ["above", "below"] + ["usual"] * 6))
+    g_eo = {"overflow": _log_float(74.0, 90.0), "above": _log_float(152.0, 154.0),
+            "below": _log_float(-153.5, -153.0), "usual": _log_float(-2.0, 4.0)}[coupling]
     device = TransducerConfig(
         mode_a=mode("a", 1.2e15, draw(_log_float(2.0, 10.0))),
         mode_b=mode("b", 5.7e10, draw(_log_float(-1.0, 6.0))),
         mode_p=Mode("p", 1.2e15, kappa_p / 2.0, kappa_p / 2.0),
-        # one draw in five so strong that (1+C)^2 overflows
-        g_eo=draw(_log_float(74.0, 90.0) if draw(st.integers(0, 4)) == 0
-                  else _log_float(-2.0, 4.0)),
+        g_eo=draw(g_eo),
     )
-    if draw(st.booleans()):
+    if coupling == "below":
+        axis = PowerAxis(0.0, draw(_log_float(-25.0, -16.0)), points=draw(st.integers(2, 40)),
+                         spacing="linear")
+    elif draw(st.booleans()):
         # one draw in five so weak that kappa_p_ex P can leave the normal doubles
-        low = draw(_log_float(-320.0, -300.0) if draw(st.integers(0, 4)) == 0
-                   else _log_float(-12.0, 2.0))
+        low = one_in_five(_log_float(-320.0, -300.0), _log_float(-12.0, 2.0))
         axis = PowerAxis(low, low * draw(_log_float(0.5, 8.0)),
                          points=draw(st.integers(2, 40)), spacing="log")
     else:
@@ -411,16 +424,21 @@ def sweep_specs(draw):
                          spacing="linear")
     if draw(st.booleans()):
         # one draw in five so long that r0 * dt overflows
-        options = HeraldOptions(dt=draw(_log_float(300.0, 308.0) if draw(st.integers(0, 4)) == 0
-                                        else _log_float(-16.0, -4.0)), r0_mapping="c_kappa_b")
+        options = HeraldOptions(dt=one_in_five(_log_float(300.0, 308.0), _log_float(-16.0, -4.0)),
+                                r0_mapping="c_kappa_b")
     else:
         options = HeraldOptions(dt=draw(_log_float(-6.0, -1.0)), r0_mapping="direct",
                                 r0_value=draw(st.floats(0.0, 1e3)))
+    q_axis = draw(st.lists(_log_float(4.0, 10.0), min_size=1, max_size=4, unique=True))
+    # one draw in five adds a Q at which alone the chain can fail: so low
+    # that kappa_b, or kappa_a kappa_b, can leave the normal doubles, or so
+    # high that (1+C)^2 can overflow
+    q_axis += one_in_five(st.lists(either_side((-298.0, -289.0), (150.0, 300.0)), max_size=1),
+                          st.just([]))
     return SweepSpec(
         config=device,
         power_axis=axis,
-        q_axis=tuple(draw(st.lists(_log_float(4.0, 10.0), min_size=1, max_size=4,
-                                   unique=True))),
+        q_axis=tuple(q_axis),
         outputs=("efficiency", "cooperativity", "infidelity"),
         herald_options=options,
         pump_detuning=draw(st.sampled_from([0.0, 3e7, -2e9])),
@@ -434,9 +452,9 @@ def scalar_rows(spec):
     options = spec.herald_options
     rows = []
     for q_b in sorted(spec.q_axis):
-        cfg = retune_microwave_q(spec.config, q_b)
         for power in spec.power_axis.grid().tolist():
             try:
+                cfg = retune_microwave_q(spec.config, q_b)
                 drive = DriveCondition(pump_power=power, pump_detuning=spec.pump_detuning)
                 n_p = intracavity_photon_number(cfg.mode_p, drive)
                 point = conversion_efficiency(cfg, n_p)
