@@ -457,7 +457,7 @@ def internal_efficiency(c: float) -> float:
     # the chain at n_p = C with 4 g_eo^2 = kappa_a kappa_b has this C
     _, eta_i, _, _, finite = efficiency_chain(c, 1.0, 4.0, 1.0, 1.0)
     if not finite:
-        raise _chain_error(c, 1.0, c, True)
+        raise _chain_error(c, 1.0, c, carried=True)
     return eta_i
 
 
