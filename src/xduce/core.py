@@ -324,11 +324,15 @@ def q_to_kappa(omega: float, q: float) -> float:
     """Convert a quality factor to an energy decay rate, kappa = omega / Q.
 
     Both arguments must be positive; ``omega`` is angular (rad/s) and the
-    result is too.
+    result is too, a normal double by the range rule of :func:`_carried`.
     """
     omega = _require_positive(omega, "omega")
     q = _require_positive(q, "Q")
-    return omega / q
+    kappa = omega / q
+    if not _carried(kappa):  # omega > 0, so 0 here has underflowed
+        raise DomainError(f"kappa = omega / Q = {kappa!r} is not a normal double: "
+                          f"omega = {omega!r}, Q = {q!r}")
+    return kappa
 
 
 def kappa_to_lifetime(kappa: float) -> float:

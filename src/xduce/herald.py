@@ -119,9 +119,10 @@ def blue_probabilities(mu: float) -> tuple[float, float, float, float, float]:
     """P0, P1, P11, Pmn and the infidelity Pmn + P11 of :func:`blue_breakdown`.
 
     This is the one regime check of the blue scheme, shared by the breakdown
-    and the sampler: mu >= 10 raises :class:`ModelRegimeError`.
+    and the sampler: a mu that is not below 10, nan included, raises
+    :class:`ModelRegimeError`.
     """
-    if mu >= MAX_POISSON_MEAN:
+    if not mu < MAX_POISSON_MEAN:
         raise ModelRegimeError(
             f"mu = {mu:.6g} is outside the herald model regime (mu < {MAX_POISSON_MEAN:g})"
         )

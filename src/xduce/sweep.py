@@ -57,7 +57,9 @@ class PowerAxis(_Frozen):
             return np.linspace(self.min_w, self.max_w, self.points)
         points = self.points
         if points is None:
-            decades = math.log10(self.max_w / self.min_w)
+            # capped first, so a ratio that overflows to inf still takes the cap
+            decades = min(math.log10(self.max_w / self.min_w),
+                          LOG_POINTS_CAP / LOG_POINTS_PER_DECADE)
             points = min(LOG_POINTS_CAP, max(2, round(LOG_POINTS_PER_DECADE * decades)))
         return np.geomspace(self.min_w, self.max_w, points)
 
@@ -160,66 +162,58 @@ def _raise_at(spec: SweepSpec, q_b: float, power: float) -> None:
     options = spec.herald_options if "infidelity" in spec.outputs else None
     try:
         cfg = retune_microwave_q(spec.config, q_b)
-        point = core.conversion_efficiency(
-            cfg, core.photon_number(cfg.mode_p, power, spec.pump_detuning))
+        core.conversion_efficiency(cfg, core.photon_number(cfg.mode_p, power, spec.pump_detuning))
         if options is not None:
-            model = herald.HeraldModel(options.rate_for(point.cooperativity, cfg.mode_b.kappa),
-                                       options.dt, Scheme.BLUE)
-            herald.blue_probabilities(model.mu)
+            drive = DriveCondition(power, spec.pump_detuning, Scheme.BLUE)
+            herald.blue_probabilities(options.model_at(cfg, drive).mu)
     except DomainError as exc:
         raise type(exc)(f"sweep failed at Q_b = {q_b:g}, power = {power:g} W: {exc}") from None
 
 
-def _columns(spec: SweepSpec, q_b: float, powers: np.ndarray, n_p: np.ndarray,
-             carried: np.ndarray) -> tuple:
+def _columns(spec: SweepSpec, q_b: float, n_p: np.ndarray, carried: np.ndarray) -> tuple:
     """C, eta_i, eta and infidelity (None unless requested) lists at one Q,
-    from the photon numbers ``n_p`` at ``powers``, ``carried`` where n_p is
-    carried by a double. The first power where the chain fails (n_p or the
-    chain's verdicts, or mu not below 10) is run through the scalar API, as
-    is the first power where the retuned device fails, and its error is
-    raised with the point's coordinates. Infidelity goes through
-    ``math.exp`` like the scalar breakdown, once if r0 is fixed."""
-    import numpy as np
-
+    from the photon numbers ``n_p``, ``carried`` where n_p is carried by a
+    double. Raises :class:`DomainError` if the chain fails at any power,
+    without naming it. Infidelity goes through ``math.exp`` like the scalar
+    breakdown, once if r0 is fixed."""
     options = spec.herald_options if "infidelity" in spec.outputs else None
-    try:
-        cfg = retune_microwave_q(spec.config, q_b)
-        g_eo_sq, kappa_ab = core._coupling(cfg)
-    except DomainError:
-        _raise_at(spec, q_b, float(powers[0]))
-        raise
-    with np.errstate(all="ignore"):
-        c, eta_i, eta, numerator_carried, finite = core.efficiency_chain(
-            n_p, g_eo_sq, kappa_ab, cfg.mode_a.extraction, cfg.mode_b.extraction)
-        valid = carried & numerator_carried & finite
-        if options is not None:
-            mu = options.rate_for(c, cfg.mode_b.kappa) * options.dt
-            valid &= mu < herald.MAX_POISSON_MEAN  # a nan mu fails it too
-    if not valid.all():
-        _raise_at(spec, q_b, float(powers[valid.argmin()]))
+    cfg = retune_microwave_q(spec.config, q_b)
+    g_eo_sq, kappa_ab = core._coupling(cfg)
+    c, eta_i, eta, numerator_carried, finite = core.efficiency_chain(
+        n_p, g_eo_sq, kappa_ab, cfg.mode_a.extraction, cfg.mode_b.extraction)
+    if not (carried & numerator_carried & finite).all():
+        raise DomainError(f"the closed-form chain fails at Q_b = {q_b:g}")
     infidelity = None
-    if options is not None and options.r0_mapping == "direct":
-        infidelity = [herald.blue_probabilities(mu)[4]] * len(powers)
-    elif options is not None:
-        infidelity = [herald.blue_probabilities(m)[4] for m in mu.tolist()]
+    if options is not None:
+        mu = options.rate_for(c, cfg.mode_b.kappa) * options.dt
+        if options.r0_mapping == "direct":
+            infidelity = [herald.blue_probabilities(mu)[4]] * len(n_p)
+        else:
+            infidelity = [herald.blue_probabilities(m)[4] for m in mu.tolist()]
     return c.tolist(), eta_i.tolist(), eta.tolist(), infidelity
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate every (Q_b, power) pair of the spec, in that sort order.
-    The first failing point aborts the sweep, with its coordinates."""
+    The first failing point aborts the sweep, with its coordinates: the
+    column pass only detects a failure, and the points from the failing Q
+    on are replayed through the scalar API until one raises."""
     import numpy as np
 
     powers = spec.power_axis.grid()
     q_axis = sorted(spec.q_axis)
-    # retuning Q changes only mode b, so n_p is one column for every Q
+    per_q = []
     try:
         with np.errstate(all="ignore"):
+            # retuning Q changes only mode b, so n_p is one column for every Q
             n_p, carried = core._pump_photons(spec.config.mode_p, powers, spec.pump_detuning)
-    except DomainError:  # the pump buildup, which fails at every point
-        _raise_at(spec, q_axis[0], float(powers[0]))
+            for q_b in q_axis:
+                per_q.append(_columns(spec, q_b, n_p, carried))
+    except DomainError:
+        for q_b in q_axis[len(per_q):]:  # every earlier Q passed
+            for power in powers.tolist():
+                _raise_at(spec, q_b, power)
         raise
-    per_q = [_columns(spec, q_b, powers, n_p, carried) for q_b in q_axis]
     c, eta_i, eta, infidelity = (None if parts[0] is None else list(parts)
                                  for parts in zip(*per_q))
     return SweepTable(powers.tolist(), q_axis, n_p.tolist(), c, eta_i, eta, infidelity)

@@ -115,6 +115,16 @@ def test_negative_rate_rejected_as_config_error(tmp_path):
         load_config(write_config(tmp_path, text))
 
 
+def test_subnormal_rate_from_q_rejected(tmp_path):
+    # omega / Q = 6.28e-310 rad/s is subnormal; such a config used to load
+    text = MINIMAL.replace("b_frequency_hz = 9e9", "b_frequency_hz = 1e-10")
+    text = text.replace("b_q_i = 1.13097335529e11", "b_q_i = 1e300")
+    message = (r"^\[device\] kappa = omega / Q = 6\.28\d*e-310 is not a normal double: "
+               r"omega = 6\.28\d*e-10, Q = 1e\+300$")
+    with pytest.raises(ConfigError, match=message):
+        load_config(write_config(tmp_path, text))
+
+
 @pytest.mark.parametrize("r0", ["-1", "nan", "inf"])
 def test_bad_herald_rate_rejected(tmp_path, r0):
     text = SHIPPED_FIXTURE.read_text()

@@ -108,6 +108,16 @@ class TestQKappaLifetime:
         with pytest.raises(DomainError):
             q_to_kappa(omega, q)
 
+    @pytest.mark.parametrize("omega,q,kappa", [(6e-300, 1e15, "6e-315"),
+                                               (5.7e10, 1e-300, "inf"),
+                                               (1e-300, 1e300, "0.0")])
+    def test_kappa_outside_the_normal_doubles_rejected(self, omega, q, kappa):
+        # 6e-315 came back as a subnormal rate, and inf reached Mode unnamed
+        message = (f"kappa = omega / Q = {kappa} is not a normal double: "
+                   f"omega = {omega!r}, Q = {q!r}")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            q_to_kappa(omega, q)
+
     @pytest.mark.parametrize("kappa", [0.0, -1.0])
     def test_lifetime_domain_errors(self, kappa):
         with pytest.raises(DomainError):

@@ -161,6 +161,12 @@ class TestBlueBreakdown:
             mc_blue_infidelity(blue_model(mu), samples=10, seed=0)
 
 
+def test_nan_mean_outside_regime():
+    # only a sweep column can hold one: r0 = C kappa_b overflowing, times dt = 0
+    with pytest.raises(ModelRegimeError, match="mu = nan is outside the herald model regime"):
+        blue_probabilities(math.nan)
+
+
 def decimal_multi_photon(m: float) -> Decimal:
     """P(Poisson(m) >= 2) = 1 - e^-m (1 + m) at 60 digits, from the double m."""
     with localcontext() as ctx:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from xduce import (
@@ -52,6 +52,11 @@ class TestPowerAxis:
     def test_log_grid_capped(self):
         axis = PowerAxis(1e-12, 1e-1, spacing="log")
         assert len(axis.grid()) == 2000
+
+    def test_log_grid_capped_when_the_ratio_overflows(self):
+        # max_w / min_w is inf; the point count came out of round(inf)
+        grid = PowerAxis(1e-320, 1e10, spacing="log").grid()
+        assert np.array_equal(grid, np.geomspace(1e-320, 1e10, 2000))
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -249,6 +254,22 @@ class TestRunSweep:
         # the grid's first power, 1e-318 W through geomspace
         where = r"^sweep failed at Q_b = 9e\+06, power = 9\.99\d*e-319 W: "
         with pytest.raises(DomainError, match=where + r"n_p = kappa_p_ex \* P / buildup"):
+            run_sweep(spec)
+
+    def test_overflowing_power_ratio_names_the_first_point(self, device):
+        spec = SweepSpec(config=device, power_axis=PowerAxis(1e-320, 1e10), q_axis=(9e6,))
+        # the grid's first power, 1e-320 W through geomspace
+        where = r"^sweep failed at Q_b = 9e\+06, power = 9\.99989e-321 W: "
+        with pytest.raises(DomainError, match=where + r"n_p = kappa_p_ex \* P / buildup"):
+            run_sweep(spec)
+
+    def test_q_whose_rate_overflows_names_its_first_point(self, device):
+        spec = SweepSpec(config=device, power_axis=PowerAxis(1e-7, 1e-3, points=4),
+                         q_axis=(9e6, 1e-300))
+        where = r"^sweep failed at Q_b = 1e-300, power = 1e-07 W: "
+        with pytest.raises(DomainError, match=where + r"kappa = omega / Q = inf is not a normal "
+                                                      r"double: omega = 56548667764\.6\d*, "
+                                                      r"Q = 1e-300$"):
             run_sweep(spec)
 
     def test_infidelity_requires_herald_options(self, device):
@@ -473,6 +494,16 @@ def scalar_rows(spec):
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(sweep_specs())
+# r0 = C kappa_b overflows and dt = 0, so the column's mu is inf * 0 = nan,
+# which the regime rule must reject as the scalar API rejects r0 = inf
+@example(SweepSpec(
+    config=TransducerConfig(Mode("a", 1.2e15, 5e-11, 5e-11), Mode("b", 5.7e10, 1.0, 1.0),
+                            Mode("p", 1.2e15, 1e7, 1e7), g_eo=1e145),
+    power_axis=PowerAxis(1e-3, 1e-2, points=3),
+    q_axis=(1e-290,),
+    outputs=("efficiency", "cooperativity", "infidelity"),
+    herald_options=HeraldOptions(0.0, "c_kappa_b"),
+))
 def test_columns_equal_scalar_api_bit_for_bit(spec):
     rows, failure = scalar_rows(spec)
     if failure is not None:
