@@ -361,11 +361,11 @@ def _pump_buildup(mode_p: Mode, pump_detuning: float) -> float:
     return buildup
 
 
-def _pump_photons(mode_p: Mode, pump_power, pump_detuning: float):
-    """n_p at a float or a NumPy array of powers, with the same bits, and
-    whether n_p and its numerator kappa_p_ex P are carried by a double."""
+def _pump_photons(mode_p: Mode, pump_power, buildup: float):
+    """n_p over a :func:`_pump_buildup` at a float or a NumPy array of powers, with
+    the same bits, and whether n_p and its numerator kappa_p_ex P are carried."""
     drive = mode_p.kappa_ex * pump_power
-    n_p = drive / _pump_buildup(mode_p, pump_detuning)
+    n_p = drive / buildup
     return n_p, _carried(drive, mode_p.kappa_ex, pump_power) & _carried(n_p, drive)
 
 
@@ -380,7 +380,7 @@ def photon_number(mode_p: Mode, pump_power: float, pump_detuning: float = 0.0) -
     is not carried by a double it raises :class:`DomainError`: with
     kappa_p_ex = 2 pi rad/s, P = 1e-318 W put n_p off by 2e-7.
     """
-    n_p, carried = _pump_photons(mode_p, pump_power, pump_detuning)
+    n_p, carried = _pump_photons(mode_p, pump_power, _pump_buildup(mode_p, pump_detuning))
     if not carried:
         raise DomainError(f"n_p = kappa_p_ex * P / buildup and its numerator must be normal "
                           f"doubles (or 0, for P = 0 or kappa_p_ex = 0): kappa_p_ex * P = "
@@ -465,17 +465,6 @@ def internal_efficiency(c: float) -> float:
     return eta_i
 
 
-def _efficiency(cfg: TransducerConfig, n_p: float) -> tuple[float, float, float, float, float]:
-    """The fields of :func:`conversion_efficiency`, in order, as a tuple."""
-    n_p = _require_non_negative(n_p, "n_p")
-    g_eo_sq, kappa_ab = _coupling(cfg)
-    ex_a, ex_b = cfg.mode_a.extraction, cfg.mode_b.extraction
-    c, eta_i, eta, carried, finite = efficiency_chain(n_p, g_eo_sq, kappa_ab, ex_a, ex_b)
-    if not (carried and finite):
-        raise _chain_error(n_p, g_eo_sq, c, carried)
-    return ex_a, ex_b, c, eta_i, eta
-
-
 def conversion_efficiency(cfg: TransducerConfig, n_p: float) -> EfficiencyBreakdown:
     """Bidirectional conversion efficiency and its factors.
 
@@ -484,11 +473,17 @@ def conversion_efficiency(cfg: TransducerConfig, n_p: float) -> EfficiencyBreakd
     losses. eta is the success probability of the transduction process and
     lies in [0, 1].
     """
-    return EfficiencyBreakdown(*_efficiency(cfg, n_p))
+    n_p = _require_non_negative(n_p, "n_p")
+    g_eo_sq, kappa_ab = _coupling(cfg)
+    ex_a, ex_b = cfg.mode_a.extraction, cfg.mode_b.extraction
+    c, eta_i, eta, carried, finite = efficiency_chain(n_p, g_eo_sq, kappa_ab, ex_a, ex_b)
+    if not (carried and finite):
+        raise _chain_error(n_p, g_eo_sq, c, carried)
+    return EfficiencyBreakdown(ex_a, ex_b, c, eta_i, eta)
 
 
-def critical_photon_number(cfg: TransducerConfig) -> float:
-    """Pump photon number n_p* = kappa_a kappa_b / (4 g_eo^2) giving C = 1."""
+def _critical_photons(cfg: TransducerConfig) -> tuple[float, float, float]:
+    """n_p* with the g_eo^2 and kappa_a kappa_b it was computed from."""
     if cfg.g_eo == 0.0:
         raise NoCriticalPointError("g_eo = 0: no pump level reaches critical coupling")
     g_eo_sq, kappa_ab = _coupling(cfg)
@@ -497,7 +492,27 @@ def critical_photon_number(cfg: TransducerConfig) -> float:
         raise DomainError(f"critical photon number n_p* = kappa_a kappa_b / (4 g_eo^2) = "
                           f"{n_star!r} is not a normal double: kappa_a kappa_b = "
                           f"{kappa_ab!r}, g_eo^2 = {g_eo_sq!r}")
-    return n_star
+    return n_star, g_eo_sq, kappa_ab
+
+
+def critical_photon_number(cfg: TransducerConfig) -> float:
+    """Pump photon number n_p* = kappa_a kappa_b / (4 g_eo^2) giving C = 1."""
+    return _critical_photons(cfg)[0]
+
+
+def _critical_point(cfg: TransducerConfig, pump_detuning: float) -> tuple:
+    """P* with the pump buildup, g_eo^2 and kappa_a kappa_b it was computed from."""
+    if cfg.mode_p.kappa_ex == 0.0:
+        raise UndriveablePumpError("pump mode has kappa_ex = 0 and cannot be driven")
+    n_star, g_eo_sq, kappa_ab = _critical_photons(cfg)
+    buildup = _pump_buildup(cfg.mode_p, pump_detuning)
+    drive = n_star * buildup
+    p_star = drive / cfg.mode_p.kappa_ex
+    if not (_carried(drive) and _carried(p_star)):
+        raise DomainError(f"critical pump power P* = n_p* * buildup / kappa_p_ex = {p_star!r} W "
+                          f"and its numerator kappa_p_ex P* = n_p* * buildup = {drive!r} must be "
+                          f"normal doubles (kappa_p_ex = {cfg.mode_p.kappa_ex!r})")
+    return p_star, buildup, g_eo_sq, kappa_ab
 
 
 def critical_pump_power(cfg: TransducerConfig, pump_detuning: float = 0.0) -> float:
@@ -507,13 +522,4 @@ def critical_pump_power(cfg: TransducerConfig, pump_detuning: float = 0.0) -> fl
     through the forward formula is consistent to better than 1e-12
     relative.
     """
-    if cfg.mode_p.kappa_ex == 0.0:
-        raise UndriveablePumpError("pump mode has kappa_ex = 0 and cannot be driven")
-    n_star = critical_photon_number(cfg)
-    drive = n_star * _pump_buildup(cfg.mode_p, pump_detuning)
-    p_star = drive / cfg.mode_p.kappa_ex
-    if not (_carried(drive) and _carried(p_star)):
-        raise DomainError(f"critical pump power P* = n_p* * buildup / kappa_p_ex = {p_star!r} W "
-                          f"and its numerator kappa_p_ex P* = n_p* * buildup = {drive!r} must be "
-                          f"normal doubles (kappa_p_ex = {cfg.mode_p.kappa_ex!r})")
-    return p_star
+    return _critical_point(cfg, pump_detuning)[0]

@@ -156,16 +156,19 @@ def retune_microwave_q(cfg: TransducerConfig, q_b: float) -> TransducerConfig:
     return TransducerConfig(cfg.mode_a, new_b, cfg.mode_p, cfg.g_eo)
 
 
-def _raise_at(spec: SweepSpec, q_b: float, power: float) -> None:
-    """Run the point (``q_b``, ``power``) through the scalar API and raise its
-    error, if it has one, with the point's coordinates."""
+def _raise_at(spec: SweepSpec, q_b: float, powers: list[float]) -> None:
+    """Run ``powers`` at ``q_b`` through the scalar API, in order, and raise the
+    first error with its point's coordinates (a failing retune's at powers[0])."""
     options = spec.herald_options if "infidelity" in spec.outputs else None
+    power = powers[0]
     try:
         cfg = retune_microwave_q(spec.config, q_b)
-        core.conversion_efficiency(cfg, core.photon_number(cfg.mode_p, power, spec.pump_detuning))
-        if options is not None:
-            drive = DriveCondition(power, spec.pump_detuning, Scheme.BLUE)
-            herald.blue_probabilities(options.model_at(cfg, drive).mu)
+        for power in powers:
+            point = core.conversion_efficiency(
+                cfg, core.photon_number(cfg.mode_p, power, spec.pump_detuning))
+            if options is not None:
+                r0 = options.rate_for(point.cooperativity, cfg.mode_b.kappa)
+                herald.blue_probabilities(herald.HeraldModel(r0, options.dt, Scheme.BLUE).mu)
     except DomainError as exc:
         raise type(exc)(f"sweep failed at Q_b = {q_b:g}, power = {power:g} W: {exc}") from None
 
@@ -206,13 +209,13 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     try:
         with np.errstate(all="ignore"):
             # retuning Q changes only mode b, so n_p is one column for every Q
-            n_p, carried = core._pump_photons(spec.config.mode_p, powers, spec.pump_detuning)
+            n_p, carried = core._pump_photons(spec.config.mode_p, powers, core._pump_buildup(
+                spec.config.mode_p, spec.pump_detuning))
             for q_b in q_axis:
                 per_q.append(_columns(spec, q_b, n_p, carried))
     except DomainError:
         for q_b in q_axis[len(per_q):]:  # every earlier Q passed
-            for power in powers.tolist():
-                _raise_at(spec, q_b, power)
+            _raise_at(spec, q_b, powers.tolist())
         raise
     c, eta_i, eta, infidelity = (None if parts[0] is None else list(parts)
                                  for parts in zip(*per_q))
@@ -242,9 +245,13 @@ def maximize_efficiency(
     hi = core._as_float(hi, "power bracket high end")
     if not (0.0 <= lo < hi):
         raise BracketingError(f"invalid bracket {core._shown(power_bracket)}")
-    p_opt = core.critical_pump_power(cfg, pump_detuning)
+    p_opt, buildup, g_eo_sq, kappa_ab = core._critical_point(cfg, pump_detuning)
     if not lo < p_opt < hi:
         raise BracketingError(f"the optimum P* = {p_opt!r} W is outside the bracket "
                               f"{core._shown(power_bracket)}")
-    n_p = core.photon_number(cfg.mode_p, p_opt, pump_detuning)
-    return p_opt, core._efficiency(cfg, n_p)[4]  # eta, without building the breakdown
+    n_p, carried = core._pump_photons(cfg.mode_p, p_opt, buildup)
+    _, _, eta, numerator_carried, finite = core.efficiency_chain(
+        n_p, g_eo_sq, kappa_ab, cfg.mode_a.extraction, cfg.mode_b.extraction)
+    if not (carried and numerator_carried and finite):  # the scalar API names it
+        core.conversion_efficiency(cfg, core.photon_number(cfg.mode_p, p_opt, pump_detuning))
+    return p_opt, eta

@@ -45,6 +45,7 @@ from xduce import (
     q_to_kappa,
     red_breakdown,
     retune_microwave_q,
+    run_sweep,
     scattering_at,
     storage_loss_infidelity,
 )
@@ -161,13 +162,25 @@ class TestIntracavityPhotonNumber:
         with pytest.raises(DomainError, match="positive and finite"):
             intracavity_photon_number(mode_p, DriveCondition(pump_power=1e-3))
 
-    def test_subnormal_buildup_is_a_domain_error(self):
+    def test_subnormal_buildup_is_a_domain_error(self, device):
         # the buildup is 5.06e-318, below the normal doubles: n_p came out
         # off by 2.7e-7 relative
         mode_p = Mode("p", TWO_PI * 193.5e12, TWO_PI * 1e-150, TWO_PI * 1e-150)
         with pytest.raises(DomainError, match=r"= 5\.06\d*e-318 is not a normal double: it "
-                                              r"must be positive and finite"):
+                                              r"must be positive and finite") as caught:
             intracavity_photon_number(mode_p, DriveCondition(pump_power=1e-160))
+        # every path to n_p raises the buildup's own message, the sweep after
+        # its first point's coordinates
+        message = str(caught.value)
+        cfg = TransducerConfig(device.mode_a, device.mode_b, mode_p, device.g_eo)
+        spec = SweepSpec(cfg, PowerAxis(1e-7, 1e-3, points=4), (9e7, 9e6))
+        for call, prefix in ((lambda: critical_pump_power(cfg), ""),
+                             (lambda: maximize_efficiency(cfg, (0.0, 1.0)), ""),
+                             (lambda: run_sweep(spec),
+                              "sweep failed at Q_b = 9e+06, power = 1e-07 W: ")):
+            with pytest.raises(DomainError) as caught:
+                call()
+            assert str(caught.value) == prefix + message
 
     @pytest.mark.parametrize("power", [1e-318, 1e-320])
     def test_subnormal_numerator_is_a_domain_error(self, power):

@@ -29,6 +29,8 @@ from xduce import (
     retune_microwave_q,
     run_sweep,
 )
+from xduce import core
+from xduce.core import photon_number
 from conftest import TWO_PI, golden_section_max, make_device
 
 
@@ -359,6 +361,32 @@ class TestMaximizeEfficiency:
         with pytest.raises(NoCriticalPointError):
             maximize_efficiency(cfg, (1e-9, 1.0))
 
+    def test_n_p_has_one_formula_path(self, device, monkeypatch):
+        # photon_number, the sweep's column and the optimum's n_p at P* all
+        # come from _pump_photons, over the buildup _pump_buildup gives
+        detuning = 3e7
+        buildup = core._pump_buildup(device.mode_p, detuning)
+        pump_photons, calls = core._pump_photons, []
+
+        def spy(mode_p, pump_power, given):
+            assert mode_p is device.mode_p and repr(given) == repr(buildup)
+            result = pump_photons(mode_p, pump_power, given)
+            calls.append(result[0])
+            return result
+
+        monkeypatch.setattr(core, "_pump_photons", spy)
+        p_star = critical_pump_power(device, detuning)
+        n_p = photon_number(device.mode_p, p_star, detuning)
+        # the middle of this linear grid is P* itself
+        table = run_sweep(SweepSpec(device, PowerAxis(0.0, 2.0 * p_star, 3, "linear"),
+                                    (device.mode_b.omega / device.mode_b.kappa,),
+                                    pump_detuning=detuning))
+        maximize_efficiency(device, (0.0, 2.0 * p_star), detuning)
+        assert len(calls) == 3
+        assert table.pump_power_w[1] == p_star
+        assert repr(calls[1].tolist()) == repr(table.n_p)
+        assert repr(calls[0]) == repr(table.n_p[1]) == repr(calls[2]) == repr(n_p)
+
     def test_undriveable_pump_has_no_optimum(self, device):
         pump = Mode("p", device.mode_p.omega, device.mode_p.kappa, 0.0)
         cfg = TransducerConfig(device.mode_a, device.mode_b, pump, device.g_eo)
@@ -572,3 +600,73 @@ def test_optimum_is_the_critical_power(case):
     # on the flat peak, eta at the exact P* can round 1-3 ULPs below the
     # search's best eta
     assert eta_opt >= eta_search - 4 * math.ulp(eta_search)
+
+
+def composed_optimum(cfg, bracket, detuning):
+    """The optimum through the public API, one call after another, with
+    maximize_efficiency's message for a bracket that misses P*."""
+    p_star = critical_pump_power(cfg, detuning)
+    if not bracket[0] < p_star < bracket[1]:
+        raise BracketingError(f"the optimum P* = {p_star!r} W is outside the bracket "
+                              f"{bracket!r}")
+    return p_star, conversion_efficiency(cfg, photon_number(cfg.mode_p, p_star, detuning)).eta
+
+
+def outcome(call):
+    """The reprs of what ``call()`` returns, or its error's class and message."""
+    try:
+        return tuple(map(repr, call()))
+    except (DomainError, BracketingError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def hostile_optima(draw):
+    """A device with every rate from 1e-150 to 1e150 Hz, a mode's kappa_ex or
+    kappa_i 0 in two draws of three, g_eo from 1e-300 to 1e150 Hz or, in one
+    draw of ten, 0, a signed pump detuning and a bracket (0, hi)."""
+    def mode(label):
+        rates = [TWO_PI * draw(_log_float(-150.0, 150.0)) for _ in range(2)]
+        zeroed = draw(st.integers(0, 2))
+        if zeroed < 2:
+            rates[zeroed] = 0.0
+        return Mode(label, TWO_PI * draw(_log_float(9.0, 15.0)), *rates)
+
+    g_eo = 0.0 if draw(st.integers(0, 9)) == 0 else TWO_PI * draw(_log_float(-300.0, 150.0))
+    cfg = TransducerConfig(mode("a"), mode("b"), mode("p"), g_eo)
+    detuning = draw(st.sampled_from((-TWO_PI, 0.0, TWO_PI))) * draw(_log_float(-150.0, 150.0))
+    return cfg, detuning, (0.0, draw(st.just(math.inf) | _log_float(-320.0, 300.0)))
+
+
+def hostile_example(kappa_a=1e10, kappa_b=1e10, mode_p=Mode("p", 1e15, 1e6, 1e6), g_eo=1.0,
+                    detuning=0.0, hi=math.inf):
+    modes = Mode("a", 1e15, 0.0, kappa_a), Mode("b", 1e10, 0.0, kappa_b), mode_p
+    return TransducerConfig(*modes, g_eo), detuning, (0.0, hi)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(hostile_optima())
+# one example per error, in the order maximize_efficiency meets them; n_p at
+# P* is n_p* and C is 1 to a few ULPs, so no device is known on which n_p's
+# check or (1+C)^2 fails there
+@example(hostile_example(mode_p=Mode("p", 1e15, 1e6, 0.0)))  # undriveable pump
+@example(hostile_example(g_eo=0.0))  # no critical point
+@example(hostile_example(kappa_a=1e-160, kappa_b=1e-160))  # kappa_a kappa_b subnormal
+@example(hostile_example(g_eo=1e160))  # g_eo^2 overflows
+@example(hostile_example(g_eo=1e-160))  # g_eo^2 underflows
+@example(hostile_example(kappa_a=2e-150, kappa_b=2e-150, g_eo=1e150))  # n_p* underflows
+@example(hostile_example(detuning=-1e200))  # delta_p^2 overflows
+# (kappa_p/2)^2 subnormal behind a huge omega_p, then a subnormal buildup
+@example(hostile_example(mode_p=Mode("p", TWO_PI * 1e300, TWO_PI * 0.5e-160,
+                                     TWO_PI * 0.5e-160)))
+@example(hostile_example(mode_p=Mode("p", TWO_PI * 193.5e12, TWO_PI * 1e-150,
+                                     TWO_PI * 1e-150)))
+@example(hostile_example(mode_p=Mode("p", 1e15, 1e150, 1e150), g_eo=1e-140))  # P* overflows
+@example(hostile_example(hi=1e-30))  # P* above the bracket
+# n_p* is 1e308, so C's numerator 4 n_p g_eo^2 overflows at P*
+@example(hostile_example(kappa_a=1e154, kappa_b=1e154, mode_p=Mode("p", 1e15, 0.5, 0.5),
+                         g_eo=0.5))
+def test_optimum_errors_equal_the_composed_api(case):
+    cfg, detuning, bracket = case
+    assert (outcome(lambda: maximize_efficiency(cfg, bracket, detuning))
+            == outcome(lambda: composed_optimum(cfg, bracket, detuning)))
