@@ -24,6 +24,11 @@ from enum import Enum
 
 from .errors import DomainError, NoCriticalPointError, UndriveablePumpError
 
+__all__ = ["HBAR", "TWO_PI", "Mode", "TransducerConfig", "DriveCondition", "Scheme",
+           "EfficiencyBreakdown", "q_to_kappa", "kappa_to_lifetime", "intracavity_photon_number",
+           "cooperativity", "internal_efficiency", "conversion_efficiency",
+           "critical_photon_number", "critical_pump_power"]
+
 # Reduced Planck constant, CODATA 2018, J*s. Pinned as a literal so that
 # photon-number values are reproducible bit for bit.
 HBAR = 1.054571817e-34
@@ -380,6 +385,7 @@ def photon_number(mode_p: Mode, pump_power: float, pump_detuning: float = 0.0) -
     is not carried by a double it raises :class:`DomainError`: with
     kappa_p_ex = 2 pi rad/s, P = 1e-318 W put n_p off by 2e-7.
     """
+    pump_power = _require_non_negative(pump_power, "pump_power")
     n_p, carried = _pump_photons(mode_p, pump_power, _pump_buildup(mode_p, pump_detuning))
     if not carried:
         raise DomainError(f"n_p = kappa_p_ex * P / buildup and its numerator must be normal "

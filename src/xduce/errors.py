@@ -5,6 +5,9 @@ one table, ``cli._EXIT_CODES``, so the class a failure is raised under is
 part of the public behaviour.
 """
 
+__all__ = ["DomainError", "NoCriticalPointError", "UndriveablePumpError", "ModelRegimeError",
+           "UsageError", "BracketingError", "InstabilityError", "ConfigError"]
+
 
 class DomainError(ValueError):
     """An input is outside the physical domain of an operation."""

@@ -31,6 +31,9 @@ from .core import (NonNegative, Scheme, _Frozen, _require_count, _require_non_ne
                    _shown)
 from .errors import DomainError, ModelRegimeError, UsageError
 
+__all__ = ["HeraldModel", "HeraldBreakdown", "McEstimate", "blue_breakdown", "red_breakdown",
+           "mc_blue_infidelity", "storage_loss_infidelity"]
+
 # Upper end of the blue herald model's regime in mu; the breakdown, the
 # sampler and the sweeps reject larger means.
 MAX_POISSON_MEAN = 10.0

@@ -34,6 +34,9 @@ from .core import (NonNegative, Scheme, TransducerConfig, _Frozen, _as_float, _r
                    _require_non_negative)
 from .errors import DomainError, InstabilityError, UsageError
 
+__all__ = ["LinearizedSystem", "ScatteringPoint", "build_linearized", "scattering_at",
+           "conversion_spectrum", "parametric_threshold"]
+
 # Residual tolerance of the closed-form 2x2 solve, relative to the data.
 _RESIDUAL_RTOL = 1e-10
 

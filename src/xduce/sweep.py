@@ -20,6 +20,9 @@ from .errors import BracketingError, DomainError
 if TYPE_CHECKING:
     import numpy as np
 
+__all__ = ["PowerAxis", "HeraldOptions", "SweepSpec", "SweepTable", "run_sweep",
+           "maximize_efficiency", "retune_microwave_q"]
+
 # Log-spaced grids default to this density when no point count is given,
 # up to the cap, which also bounds an explicit count on either spacing.
 LOG_POINTS_PER_DECADE = 200

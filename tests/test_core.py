@@ -229,6 +229,15 @@ class TestIntracavityPhotonNumber:
             with pytest.raises(DomainError, match="pump_detuning must be finite"):
                 call()
 
+    @pytest.mark.parametrize("power, reason", [
+        ("abc", "must be a number, got 'abc'"), (None, "must be a number, got None"),
+        (-1.0, "must be non-negative, got -1.0"), (math.nan, "must be finite, got nan"),
+        (math.inf, "must be finite, got inf")])
+    def test_bad_pump_power_named(self, device, power, reason):
+        # these reached the arithmetic: a bare TypeError, or the n_p message
+        with pytest.raises(DomainError, match=f"^pump_power {re.escape(reason)}$"):
+            photon_number(device.mode_p, power)
+
 
 class TestCooperativity:
     def test_zero_pump(self, device):
@@ -352,15 +361,17 @@ def _log_uniform(lo: float, hi: float):
 @given(omegas=st.tuples(*[_log_uniform(1e9, 1e16)] * 3),
        kappas=st.tuples(*[_log_uniform(1e-3, 1e9)] * 6), g_eo=_log_uniform(1e-3, 1e6),
        detuning=st.one_of(st.just(0.0), st.floats(-1e9, 1e9)), power=_log_uniform(1e-12, 1.0),
-       j=st.integers(-100, 100))
+       offsets=st.tuples(*[st.floats(-10.0, 10.0)] * 2), j=st.integers(-100, 100))
 # a design whose squares, taken with ** 2 (C pow), lost a bit at 4^2
 @example(omegas=(1584430000000.0, 1028610000000000.0, 1108450000000000.0),
          kappas=(212.014, 59954.2, 0.00141942, 100.539, 405102000.0, 15329300.0), g_eo=7.53912,
-         detuning=0.0, power=0.000261486, j=2)
+         detuning=0.0, power=0.000261486, offsets=(0.5, -3.0), j=2)
 def test_scaling_rates_and_power_by_four_to_the_j_keeps_every_bit(omegas, kappas, g_eo,
-                                                                  detuning, power, j):
+                                                                  detuning, power, offsets, j):
     # n_p and C are ratios of equal powers of the rates and the power, so a
-    # power of two cancels exactly; 4^j keeps each square a power of two
+    # power of two cancels exactly; 4^j keeps each square a power of two.
+    # The oracle's conversion is such a ratio too, at probe offsets in units
+    # of the system's own kappa_a + kappa_b, which already carry the scale.
     def chain(scale):
         modes = [Mode(label, omega, scale * kappa_i, scale * kappa_ex) for label, omega, kappa_i,
                  kappa_ex in zip("abp", omegas, kappas[::2], kappas[1::2])]
@@ -368,7 +379,12 @@ def test_scaling_rates_and_power_by_four_to_the_j_keeps_every_bit(omegas, kappas
         n_p = intracavity_photon_number(cfg.mode_p, DriveCondition(scale * power,
                                                                    scale * detuning))
         breakdown = conversion_efficiency(cfg, n_p)
-        return [value.hex() for value in (n_p, breakdown.cooperativity, breakdown.eta)]
+        system = build_linearized(cfg, n_p, Scheme.RED)
+        probes = [0.0] + [offset * (system.kappa_a + system.kappa_b) for offset in offsets]
+        # conversion only: the amplitudes' real parts are subnormal rounding
+        # residue, whose bits do move
+        spectrum = [point.conversion for point in conversion_spectrum(system, probes)]
+        return [value.hex() for value in (n_p, breakdown.cooperativity, breakdown.eta, *spectrum)]
 
     base = chain(1.0)
     try:
@@ -491,7 +507,8 @@ def test_float32_inputs_give_float64_results():
                      for scheme in (Scheme.BLUE, Scheme.RED))
         blue_bd, red_bd = blue_breakdown(blue), red_breakdown(red)
         return [
-            n_p, cooperativity(cfg, n_p), efficiency.extraction_a, efficiency.extraction_b,
+            n_p, photon_number(cfg.mode_p, cast(drive.pump_power), cast(drive.pump_detuning)),
+            cooperativity(cfg, n_p), efficiency.extraction_a, efficiency.extraction_b,
             efficiency.cooperativity, efficiency.eta_i, efficiency.eta,
             critical_photon_number(cfg), critical_pump_power(cfg, at.pump_detuning),
             scattering_at(build_linearized(cfg, n_p, Scheme.RED), 0.0).conversion,

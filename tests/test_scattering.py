@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -375,6 +375,32 @@ class TestBlueScheme:
         for omega in (0.0, 1e3, -4e4):
             point = scattering_at(sys_, omega)
             assert point.conversion == pytest.approx(numpy_conversion(sys_, omega), rel=1e-12)
+
+    @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+    @given(rates=st.tuples(*[st.floats(-20.0, 20.0).map(lambda e: 10.0**e)] * 5),
+           u=st.floats(0.0, 1.0))
+    # 1 - C = 1.2e-6, just inside the cut: off by 3.9e-10
+    @example(rates=(1e-20, 1e20, 3e7, 2e-3, 1e15), u=0.9999996)
+    def test_blue_matches_closed_form_on_resonance(self, rates, u):
+        # the blue twin of the red closed form: ex_a ex_b 4C / (1 - C)^2
+        kappa_a_i, kappa_a_ex, kappa_b_i, kappa_b_ex, g_eo = rates
+        device = make_device()
+        cfg = TransducerConfig(Mode("a", device.mode_a.omega, kappa_a_i, kappa_a_ex),
+                               Mode("b", device.mode_b.omega, kappa_b_i, kappa_b_ex),
+                               device.mode_p, g_eo)
+        n_p = critical_photon_number(cfg) * u**3
+        try:
+            breakdown = conversion_efficiency(cfg, n_p)
+        except DomainError:  # a product the range rule rejects
+            return
+        c = breakdown.cooperativity
+        if c >= 1.0 - 1e-6:
+            return
+        expected = breakdown.extraction_a * breakdown.extraction_b * 4.0 * c / (1.0 - c) ** 2
+        conversion = scattering_at(build_linearized(cfg, n_p, Scheme.BLUE), 0.0).conversion
+        # det M(0) = (ka/2)(kb/2) - G^2 cancels to 1 - C of its terms, so the
+        # error grows as about one ulp over 1 - C: near 1e-10 at the cut
+        assert abs(conversion - expected) <= 1e-9 * expected
 
 
 def test_verify_pipeline_from_drive(device):
