@@ -14,6 +14,7 @@ the table ``_EXIT_CODES`` gives its class.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -104,7 +105,7 @@ def cmd_sweep(run: RunConfig, args) -> int:
     if (run.table_path and plot_path
             and os.path.realpath(run.table_path) == os.path.realpath(plot_path)):
         raise ConfigError(f"the table and the plot name one file: {plot_path}")
-    note = _mapping_note(spec.herald_options)
+    note = _mapping_note(spec.herald_options if "infidelity" in spec.outputs else None)
     table = sweep.run_sweep(spec)
     lines = _sweep_lines(table, args.format or run.out_format)
     files = []  # (path, newline, chunks), written in this order
@@ -124,8 +125,13 @@ def _write_outputs(files, stdout_lines) -> None:
     stdout lines and the outputs that are symlinks, devices or pipes (such as
     /dev/stdout), and only then rename the temporary files into place, so a
     failure on the way leaves no new or replaced file behind. The files get
-    the mode ``open`` gives."""
+    the mode ``open`` gives. A directory output is refused before anything
+    is written."""
     import tempfile
+
+    for path, _, _ in files:
+        if os.path.isdir(path):  # what open() raises, but before stdout is written
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
     umask = os.umask(0)  # reading the umask means setting it; restored at once
     os.umask(umask)

@@ -1,16 +1,17 @@
-"""Static SVG rendering of sweep curves, no plotting dependencies.
+"""Static SVG rendering of sweep curves, no plotting or XML dependencies.
 
 Fixed 800x600 viewBox with one panel per requested output column and one
 path per Q value. Power is always on a log axis; efficiency and
 cooperativity use a linear vertical axis while infidelity is drawn
 log-log, matching its decade scaling. Zero or negative values cannot be
-placed on a log axis and are skipped.
+placed on a log axis and are skipped. The document is written as text:
+attributes hold only numbers, colours and fixed words, and text nodes
+escape ``&``, ``<`` and ``>``.
 """
 
 from __future__ import annotations
 
 import math
-from xml.etree import ElementTree as ET
 
 WIDTH = 800.0
 HEIGHT = 600.0
@@ -25,16 +26,13 @@ _COLUMNS = {
 }
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
+def _text(out: list, x: float, y: float, text: str, attrs: str) -> None:
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    out.append(f'<text x="{x:.2f}" y="{y:.2f}" {attrs}>{text}</text>')
 
 
-def _text(svg, x: float, y: float, text: str, **attrs) -> None:
-    ET.SubElement(svg, "text", x=_fmt(x), y=_fmt(y), **attrs).text = text
-
-
-def _panel(svg, powers, logs, curves, title: str, log_y: bool, x0: float, panel_w: float,
-           note: str | None):
+def _panel(out: list, powers, logs, curves, title: str, log_y: bool, x0: float,
+           panel_w: float, note: str | None):
     # per Q, the powers, their logs and the values of the points a log power
     # axis (and a log-y axis) can place; a curve whose points all can keeps
     # the power lists it shares with the other curves
@@ -69,24 +67,21 @@ def _panel(svg, powers, logs, curves, title: str, log_y: bool, x0: float, panel_
         (plot_x0, plot_y1, plot_x1, plot_y1),
         (plot_x0, plot_y0, plot_x0, plot_y1),
     ):
-        ET.SubElement(
-            svg, "line",
-            x1=_fmt(x1), y1=_fmt(y1), x2=_fmt(x2), y2=_fmt(y2),
-            stroke="black", **{"stroke-width": "1"},
-        )
+        out.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+                   f'stroke="black" stroke-width="1" />')
     # axis labels and range ticks
-    _text(svg, (plot_x0 + plot_x1) / 2, plot_y0 - 14.0, title,
-          **{"text-anchor": "middle", "font-size": "14"})
+    _text(out, (plot_x0 + plot_x1) / 2, plot_y0 - 14.0, title,
+          'text-anchor="middle" font-size="14"')
     for frac, value in ((0.0, 10.0**lx_min), (1.0, 10.0**lx_max)):
-        _text(svg, plot_x0 + frac * (plot_x1 - plot_x0), plot_y1 + 16.0, f"{value:.3g}",
-              **{"text-anchor": "middle", "font-size": "10"})
-    _text(svg, (plot_x0 + plot_x1) / 2, plot_y1 + 34.0, "pump power (W)",
-          **{"text-anchor": "middle", "font-size": "11"})
+        _text(out, plot_x0 + frac * (plot_x1 - plot_x0), plot_y1 + 16.0, f"{value:.3g}",
+              'text-anchor="middle" font-size="10"')
+    _text(out, (plot_x0 + plot_x1) / 2, plot_y1 + 34.0, "pump power (W)",
+          'text-anchor="middle" font-size="11"')
     for frac, t in ((0.0, y_min), (1.0, y_max)):
-        _text(svg, plot_x0 - 6.0, plot_y1 - frac * (plot_y1 - plot_y0) + 4.0,
-              f"{10.0**t if log_y else t:.3g}", **{"text-anchor": "end", "font-size": "10"})
+        _text(out, plot_x0 - 6.0, plot_y1 - frac * (plot_y1 - plot_y0) + 4.0,
+              f"{10.0**t if log_y else t:.3g}", 'text-anchor="end" font-size="10"')
     if note:
-        _text(svg, plot_x0, plot_y1 + 46.0, note, **{"font-size": "9"})
+        _text(out, plot_x0, plot_y1 + 46.0, note, 'font-size="9"')
 
     x_span, x_width = lx_max - lx_min, plot_x1 - plot_x0
     y_span, y_height = y_max - y_min, plot_y1 - plot_y0
@@ -100,11 +95,8 @@ def _panel(svg, powers, logs, curves, title: str, log_y: bool, x0: float, panel_
                 ["%.2f" % (plot_x0 + (lp - lx_min) / x_span * x_width) + " %.2f" for lp in logs])
         ys = tuple(plot_y1 - (t - y_min) / y_span * y_height
                    for t in (map(math.log10, vs) if log_y else vs))
-        ET.SubElement(
-            svg, "path",
-            d=template % ys, fill="none",
-            stroke=_PALETTE[idx % len(_PALETTE)], **{"stroke-width": "1.5"},
-        )
+        out.append(f'<path d="{template % ys}" fill="none" '
+                   f'stroke="{_PALETTE[idx % len(_PALETTE)]}" stroke-width="1.5" />')
 
 
 def render_sweep_svg(table, outputs, note: str | None = None) -> str:
@@ -115,13 +107,7 @@ def render_sweep_svg(table, outputs, note: str | None = None) -> str:
     output columns to draw, one panel each. ``note`` is an optional
     annotation (e.g. the r0 mapping in effect).
     """
-    svg = ET.Element(
-        "svg",
-        xmlns="http://www.w3.org/2000/svg",
-        viewBox=f"0 0 {WIDTH:.0f} {HEIGHT:.0f}",
-        width=f"{WIDTH:.0f}",
-        height=f"{HEIGHT:.0f}",
-    )
+    out = []
     outputs = list(outputs)
     panel_w = WIDTH / max(1, len(outputs))
     powers = table.pump_power_w
@@ -132,14 +118,15 @@ def render_sweep_svg(table, outputs, note: str | None = None) -> str:
         column, title = _COLUMNS[output]
         curves = getattr(table, column)
         if curves is not None:
-            _panel(svg, powers, logs, curves, title, output == "infidelity", i * panel_w,
+            _panel(out, powers, logs, curves, title, output == "infidelity", i * panel_w,
                    panel_w, note if i == 0 else None)
     # legend, one swatch per Q
     for idx, q in enumerate(table.q_b):
         y = 14.0 + 14.0 * idx
-        ET.SubElement(
-            svg, "rect", x=_fmt(WIDTH - 150.0), y=_fmt(y - 8.0),
-            width="18", height="4", fill=_PALETTE[idx % len(_PALETTE)],
-        )
-        _text(svg, WIDTH - 126.0, y, f"Q = {q:.4g}", **{"font-size": "11"})
-    return ET.tostring(svg, encoding="unicode")
+        out.append(f'<rect x="{WIDTH - 150.0:.2f}" y="{y - 8.0:.2f}" width="18" height="4" '
+                   f'fill="{_PALETTE[idx % len(_PALETTE)]}" />')
+        _text(out, WIDTH - 126.0, y, f"Q = {q:.4g}", 'font-size="11"')
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}" '
+            f'width="{WIDTH:.0f}" height="{HEIGHT:.0f}"')
+    # a table with no Q values leaves the root empty, and it closes itself
+    return f"{head}>{''.join(out)}</svg>" if out else f"{head} />"

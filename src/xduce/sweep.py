@@ -159,10 +159,10 @@ def retune_microwave_q(cfg: TransducerConfig, q_b: float) -> TransducerConfig:
     return TransducerConfig(cfg.mode_a, new_b, cfg.mode_p, cfg.g_eo)
 
 
-def _raise_at(spec: SweepSpec, q_b: float, powers: list[float]) -> None:
+def _raise_at(spec: SweepSpec, options: HeraldOptions | None, q_b: float,
+              powers: list[float]) -> None:
     """Run ``powers`` at ``q_b`` through the scalar API, in order, and raise the
     first error with its point's coordinates (a failing retune's at powers[0])."""
-    options = spec.herald_options if "infidelity" in spec.outputs else None
     power = powers[0]
     try:
         cfg = retune_microwave_q(spec.config, q_b)
@@ -176,13 +176,13 @@ def _raise_at(spec: SweepSpec, q_b: float, powers: list[float]) -> None:
         raise type(exc)(f"sweep failed at Q_b = {q_b:g}, power = {power:g} W: {exc}") from None
 
 
-def _columns(spec: SweepSpec, q_b: float, n_p: np.ndarray, carried: np.ndarray) -> tuple:
+def _columns(spec: SweepSpec, options: HeraldOptions | None, q_b: float, n_p: np.ndarray,
+             carried: np.ndarray) -> tuple:
     """C, eta_i, eta and infidelity (None unless requested) lists at one Q,
     from the photon numbers ``n_p``, ``carried`` where n_p is carried by a
     double. Raises :class:`DomainError` if the chain fails at any power,
     without naming it. Infidelity goes through ``math.exp`` like the scalar
     breakdown, once if r0 is fixed."""
-    options = spec.herald_options if "infidelity" in spec.outputs else None
     cfg = retune_microwave_q(spec.config, q_b)
     g_eo_sq, kappa_ab = core._coupling(cfg)
     c, eta_i, eta, numerator_carried, finite = core.efficiency_chain(
@@ -208,6 +208,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
     powers = spec.power_axis.grid()
     q_axis = sorted(spec.q_axis)
+    options = spec.herald_options if "infidelity" in spec.outputs else None
     per_q = []
     try:
         with np.errstate(all="ignore"):
@@ -215,10 +216,10 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
             n_p, carried = core._pump_photons(spec.config.mode_p, powers, core._pump_buildup(
                 spec.config.mode_p, spec.pump_detuning))
             for q_b in q_axis:
-                per_q.append(_columns(spec, q_b, n_p, carried))
+                per_q.append(_columns(spec, options, q_b, n_p, carried))
     except DomainError:
         for q_b in q_axis[len(per_q):]:  # every earlier Q passed
-            _raise_at(spec, q_b, powers.tolist())
+            _raise_at(spec, options, q_b, powers.tolist())
         raise
     c, eta_i, eta, infidelity = (None if parts[0] is None else list(parts)
                                  for parts in zip(*per_q))

@@ -36,7 +36,8 @@ from xduce import (
 from xduce import herald, scattering
 from xduce.cli import MC_SAMPLES_CAP, _sweep_lines, build_parser, run_cli
 from xduce.config import _SCHEMA, load_config
-from xduce.sweep import HeraldOptions, PowerAxis, SweepSpec, run_sweep
+from xduce.svgplot import _PALETTE, render_sweep_svg
+from xduce.sweep import HeraldOptions, PowerAxis, SweepSpec, SweepTable, run_sweep
 from conftest import checked_float_types
 
 HERE = Path(__file__).resolve().parent
@@ -290,6 +291,54 @@ class TestSweepCommand:
         assert len(paths) == 3 * 2
 
 
+class TestRenderSweepSvg:
+    """The SVG writer on hand-built tables, for the cases a run_sweep table
+    of the shipped configs does not reach."""
+
+    SVG = "{http://www.w3.org/2000/svg}"
+
+    def render(self, powers, curves, outputs, note=None):
+        q_b = [9e6 * 10.0**k for k in range(len(curves))]
+        table = SweepTable(powers, q_b, [0.0] * len(powers), curves, curves, curves, curves)
+        return ET.fromstring(render_sweep_svg(table, outputs, note=note))
+
+    def test_one_placeable_power_widens_the_axes(self):
+        # 0 W has no place on the log power axis, so 1e-4 W is alone on it:
+        # both axes widen by 0.5 about its one point, which lands mid-panel
+        root = self.render([0.0, 1e-4], [[0.2, 0.4]], ["efficiency"])
+        ticks = [t.text for t in root.iter(self.SVG + "text")][1:6]
+        assert ticks == ["3.16e-05", "0.000316", "pump power (W)", "-0.1", "0.9"]
+        [path] = root.iter(self.SVG + "path")
+        assert path.get("d") == "M 420.00 295.00"
+
+    def test_log_y_curve_of_zeros_is_skipped(self):
+        # the first Q's infidelity is 0 everywhere: no point of it can be
+        # placed on the log-y axis, and the second Q keeps its colour
+        root = self.render([1e-6, 1e-5, 1e-4], [[0.0, 0.0, 0.0], [1e-3, 1e-2, 1e-1]],
+                           ["infidelity"])
+        [path] = root.iter(self.SVG + "path")
+        assert path.get("stroke") == _PALETTE[1]
+        assert len(path.get("d").split(" L ")) == 3
+        assert len(list(root.iter(self.SVG + "rect"))) == 2
+
+    def test_note_text_is_escaped(self):
+        note = """r0 & <mu> > "1" 'a'"""
+        root = self.render([1e-6, 1e-5], [[0.1, 0.2]], ["efficiency"], note=note)
+        assert [t.text for t in root.iter(self.SVG + "text")
+                if t.get("font-size") == "9"] == [note]
+
+    def test_unknown_output_raises(self):
+        with pytest.raises(ValueError, match="no such output column: 'eta'"):
+            self.render([1e-6, 1e-5], [[0.1, 0.2]], ["efficiency", "eta"])
+
+    def test_imports_no_xml_library(self):
+        code = ("import sys, xduce.svgplot; "
+                "print(sorted({m.split('.')[0] for m in sys.modules} & {'xml', 'html'}))")
+        proc = fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestHeraldCommand:
     def _blue_config(self, tmp_path, extra=""):
         text = DEVICE_SECTION + (
@@ -360,6 +409,18 @@ class TestHeraldCommand:
         assert capsys.readouterr().err == note
         assert run_cli(["herald", "--config", direct]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_c_kappa_b_note_only_when_the_sweep_computes_infidelity(self, tmp_path, capsys):
+        # without infidelity the sweep computes no r0, so it states no mapping
+        text = LINEAR_TEMPLATE.format(table="").replace(
+            "outputs = efficiency, cooperativity, infidelity", "outputs = efficiency")
+        cfg = write_config(tmp_path, text)
+        plot = tmp_path / "plot.svg"
+        assert run_cli(["sweep", "--config", cfg, "--plot", str(plot)]) == 0
+        assert capsys.readouterr().err == ""
+        assert "r0 mapping" not in plot.read_text()
+        assert run_cli(["herald", "--config", cfg]) == 0
+        assert capsys.readouterr().err.startswith("r0 mapping: c_kappa_b ")
 
     def test_zero_rate_mc_is_exactly_zero(self, tmp_path, capsys):
         text = DEVICE_SECTION + (
@@ -556,9 +617,13 @@ class TestExitCodes:
         assert captured.out == ""
         assert all(word in captured.err for word in named), captured.err
 
-    def test_missing_section_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("sub", ["sweep", "herald"])
+    def test_missing_section_exits_2(self, tmp_path, capsys, sub):
         cfg = write_config(tmp_path, DEVICE_SECTION)
-        assert run_cli(["sweep", "--config", cfg]) == 2
+        assert run_cli([sub, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: missing [{sub}] section\n"
 
     def test_domain_error_exits_3(self, tmp_path):
         # mu >= 10 rows are outside the herald model regime
@@ -603,6 +668,29 @@ class TestExitCodes:
         assert captured.out == ""
         assert str(plot) in captured.err
         assert sorted(os.listdir(tmp_path)) == ["run.ini"]
+
+    @pytest.mark.parametrize("output, via_link", [("plot", False), ("plot", True),
+                                                  ("table", False)])
+    def test_directory_output_exits_4_before_writing(self, tmp_path, capsys, output, via_link):
+        # refused before the table reaches stdout or any file is staged
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        target = folder
+        if via_link:
+            target = tmp_path / "link"
+            target.symlink_to(folder)
+        cfg = write_config(tmp_path, GOLDEN_TEMPLATE.format(
+            table=target if output == "table" else ""))
+        plot = target if output == "plot" else tmp_path / "plot.svg"
+        assert run_cli(["sweep", "--config", cfg, "--plot", str(plot)]) == 4
+        with pytest.raises(IsADirectoryError) as opened:
+            open(target, "w")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"i/o error: {opened.value}\n"
+        assert sorted(os.listdir(tmp_path)) == sorted(["folder", "run.ini"]
+                                                      + ["link"] * via_link)
+        assert os.listdir(folder) == []
 
     @pytest.mark.parametrize("plot", ["out.csv", "./out.csv"])
     def test_table_and_plot_on_one_path_exit_2(self, tmp_path, monkeypatch, capsys, plot):

@@ -103,6 +103,12 @@ def test_bad_number_names_field(tmp_path):
         load_config(write_config(tmp_path, text))
 
 
+def test_missing_device_section_rejected(tmp_path):
+    text = "[drive]\npower_w = 1e-3\nscheme = red\n"
+    with pytest.raises(ConfigError, match=r"^missing \[device\] section$"):
+        load_config(write_config(tmp_path, text))
+
+
 def test_bad_scheme_rejected(tmp_path):
     text = MINIMAL + "\n[drive]\npower_w = 1e-3\nscheme = purple\n"
     with pytest.raises(ConfigError, match="scheme"):
