@@ -27,9 +27,9 @@ from .errors import ConfigError, DomainError, UsageError
 
 VERIFY_TOLERANCE = 1e-9
 VERIFY_PROBES = 32
-# The MC sampler draws 80-100M trials/s on two cores (the caller and one helper
-# thread per call), so the largest `herald --mc` runs for 10-12.5 s, where a
-# mistyped count could run for days.
+# The MC sampler draws about 85-100M trials/s on the calling thread, so the
+# largest `herald --mc` runs for about 10-12 s, where a mistyped count could
+# run for days.
 MC_SAMPLES_CAP = 10**9
 
 SWEEP_HEADER = "pump_power_w,q_b,n_p,cooperativity,eta_internal,eta,infidelity"

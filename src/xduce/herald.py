@@ -49,10 +49,10 @@ _SERIES_BELOW = 4e-3
 # sees: changing it would change every estimate for a given seed.
 _BLOCK_SIZE = 1_000_000
 
-# Trials per chunk, the unit the two threads of a call claim: 128 KB of
-# uint64 words per cavity, so both threads' working sets stay in cache
-# (32k-trial chunks had glibc return and fault back thousands of pages per
-# block). Any size gives the same counts.
+# Trials per chunk, the unit a block is drawn and compared in: 128 KB of
+# uint64 words per cavity, so the working set stays in cache and a block's
+# memory is bounded (32k-trial chunks had glibc return and fault back
+# thousands of pages per block). Any size gives the same counts.
 _CHUNK_WORDS = 2**14
 
 
@@ -195,25 +195,8 @@ def _word_thresholds(f0: float, f1: float):
     return tuple(np.uint64((min(math.ceil(f * 2.0**53), 2**53) << 11) - 1) for f in (f0, f1))
 
 
-def _seek(bits, at: int, word: int) -> None:
-    """Move the Philox cursor bits from word at to word, at <= word. A
-    cursor at word ``at`` has taken ceil(at / 4) counter steps of 4 words and
-    buffers the rest of the last one; ``advance`` drops that buffer."""
-    taken = -(-at // 4)
-    if word < 4 * taken:
-        bits.random_raw(word - at)
-    else:
-        bits.advance(word // 4 - taken)
-        bits.random_raw(word % 4)
-
-
-def _count_claimed(seed: int, samples: int, claims, t0, t1) -> int:
-    """Errors among the chunks of the ``samples`` trials that this thread claims.
-
-    ``claims`` yields (block, chunk start) pairs in increasing order and is
-    shared by the call's threads; it is a C iterator, so ``next`` on it is
-    one call under the GIL and each chunk goes to exactly one thread. A
-    start at or past the n trials of a partial last block is skipped.
+def _count_errors(seed: int, samples: int, t0, t1) -> int:
+    """Errors among the ``samples`` trials of a call, counted block by block.
 
     Trial i of an n-trial block reads cavity a's uniform from word i and
     cavity b's from word n + i of the block's raw Philox stream: ``u_a`` is
@@ -224,35 +207,28 @@ def _count_claimed(seed: int, samples: int, claims, t0, t1) -> int:
     holds exactly when ``r >= ceil(f * 2**53) << 11``; t0 and t1 are those
     bounds for P0 and P0 + P1, less one (:func:`_word_thresholds`).
 
-    This thread builds a block's cursor pair the first time it claims one
-    of the block's chunks, and only moves it forward: to word s for cavity
-    a and n + s for cavity b, skipping the chunks the other thread took.
+    Each block builds two cursors on its (seed, block) stream and moves
+    cavity b's to word n once: ``advance`` takes whole 4-word counter steps
+    and ``random_raw`` the rest. Both then read forward a chunk at a time.
     """
     import numpy as np
 
-    block = None
     errors = 0
-    for claimed, start in claims:
-        n = min(_BLOCK_SIZE, samples - claimed * _BLOCK_SIZE)
-        if start >= n:
-            continue
-        if claimed != block:
-            block, at = claimed, 0  # the trial both cursors stand at
-            stream = np.random.SeedSequence((seed, block))
-            words_a = np.random.Philox(stream)
-            words_b = np.random.Philox(stream)
-            _seek(words_b, 0, n)
-        if start != at:
-            _seek(words_a, at, start)
-            _seek(words_b, n + at, n + start)
-        m = min(_CHUNK_WORDS, n - start)
-        at = start + m
-        r_a = words_a.random_raw(m)
-        r_b = words_b.random_raw(m)
-        # both cavities hold a photon, or either holds two
-        hit = np.minimum(r_a, r_b) > t0
-        hit |= np.maximum(r_a, r_b, out=r_a) > t1
-        errors += int(np.count_nonzero(hit))
+    for block in range(-(-samples // _BLOCK_SIZE)):
+        n = min(_BLOCK_SIZE, samples - block * _BLOCK_SIZE)
+        stream = np.random.SeedSequence((seed, block))
+        words_a = np.random.Philox(stream)
+        words_b = np.random.Philox(stream)
+        words_b.advance(n // 4)
+        words_b.random_raw(n % 4)
+        for start in range(0, n, _CHUNK_WORDS):
+            m = min(_CHUNK_WORDS, n - start)
+            r_a = words_a.random_raw(m)
+            r_b = words_b.random_raw(m)
+            # both cavities hold a photon, or either holds two
+            hit = np.minimum(r_a, r_b) > t0
+            hit |= np.maximum(r_a, r_b, out=r_a) > t1
+            errors += int(np.count_nonzero(hit))
     return errors
 
 
@@ -266,12 +242,7 @@ def mc_blue_infidelity(model: HeraldModel, samples: int, seed: int) -> McEstimat
     error fraction. Trials are generated in fixed-size blocks, each from
     its own Philox counter-based stream keyed by (seed, block index), and
     the integer error counts are summed, so the result is bit-identical
-    for a given seed. The call is counted on two threads, the caller and one
-    helper started once per call. They claim (block, chunk) pairs from one
-    shared iterator as they come free, so a thread that runs slower, or
-    starts late, takes fewer chunks instead of holding the other up; numpy
-    draws and compares the words without the GIL. The count is a sum over
-    chunks, so it does not depend on which thread took which.
+    for a given seed.
     """
     if model.scheme is not Scheme.BLUE:
         raise UsageError("mc_blue_infidelity requires a blue-scheme model")
@@ -281,32 +252,8 @@ def mc_blue_infidelity(model: HeraldModel, samples: int, seed: int) -> McEstimat
         raise UsageError(f"samples must be at least 1, got {_shown(samples)}")
     if seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {_shown(seed)}")
-    import itertools
-    import threading
-
     p0, p1 = blue_probabilities(model.mu)[:2]
-    t0, t1 = _word_thresholds(p0, p0 + p1)
-    # a C iterator: two threads calling next() on one generator can make it
-    # raise "generator already executing"
-    claims = itertools.product(range(-(-samples // _BLOCK_SIZE)),
-                               range(0, min(_BLOCK_SIZE, samples), _CHUNK_WORDS))
-    helped = []  # the helper's count, or the exception it raised
-
-    def help_count():
-        try:
-            helped.append(_count_claimed(seed, samples, claims, t0, t1))
-        except BaseException as exc:
-            helped.append(exc)
-
-    helper = threading.Thread(target=help_count, name="xduce-mc-helper")
-    helper.start()
-    try:
-        total = _count_claimed(seed, samples, claims, t0, t1)
-    finally:
-        helper.join()
-    if isinstance(helped[0], BaseException):
-        raise helped[0]
-    total += helped[0]
+    total = _count_errors(seed, samples, *_word_thresholds(p0, p0 + p1))
     mean = total / samples
     if samples > 1:
         stderr = math.sqrt(mean * (1.0 - mean) / (samples - 1))

@@ -32,7 +32,7 @@ def _text(out: list, x: float, y: float, text: str, attrs: str) -> None:
 
 
 def _panel(out: list, powers, logs, curves, title: str, log_y: bool, x0: float,
-           panel_w: float, note: str | None):
+           panel_w: float, note: str | None) -> bool:
     # per Q, the powers, their logs and the values of the points a log power
     # axis (and a log-y axis) can place; a curve whose points all can keeps
     # the power lists it shares with the other curves
@@ -46,7 +46,7 @@ def _panel(out: list, powers, logs, curves, title: str, log_y: bool, x0: float,
         placeable.append((xs, lxs, vs))
     placed = [curve for curve in placeable if curve[0]]
     if not placed:
-        return
+        return False
     plot_x0 = x0 + _MARGIN["left"]
     plot_x1 = x0 + panel_w - _MARGIN["right"]
     plot_y0 = _MARGIN["top"]
@@ -97,6 +97,7 @@ def _panel(out: list, powers, logs, curves, title: str, log_y: bool, x0: float,
                    for t in (map(math.log10, vs) if log_y else vs))
         out.append(f'<path d="{template % ys}" fill="none" '
                    f'stroke="{_PALETTE[idx % len(_PALETTE)]}" stroke-width="1.5" />')
+    return True
 
 
 def render_sweep_svg(table, outputs, note: str | None = None) -> str:
@@ -105,7 +106,8 @@ def render_sweep_svg(table, outputs, note: str | None = None) -> str:
     ``table`` is the :class:`xduce.sweep.SweepTable` of
     :func:`xduce.sweep.run_sweep`, one curve per Q; ``outputs`` the ordered
     output columns to draw, one panel each. ``note`` is an optional
-    annotation (e.g. the r0 mapping in effect).
+    annotation (e.g. the r0 mapping in effect), written under the first
+    panel that draws.
     """
     out = []
     outputs = list(outputs)
@@ -117,9 +119,10 @@ def render_sweep_svg(table, outputs, note: str | None = None) -> str:
             raise ValueError(f"no such output column: {output!r}")
         column, title = _COLUMNS[output]
         curves = getattr(table, column)
-        if curves is not None:
-            _panel(out, powers, logs, curves, title, output == "infidelity", i * panel_w,
-                   panel_w, note if i == 0 else None)
+        # the first panel that draws takes the note
+        if curves is not None and _panel(out, powers, logs, curves, title,
+                                         output == "infidelity", i * panel_w, panel_w, note):
+            note = None
     # legend, one swatch per Q
     for idx, q in enumerate(table.q_b):
         y = 14.0 + 14.0 * idx

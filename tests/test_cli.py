@@ -327,6 +327,17 @@ class TestRenderSweepSvg:
         assert [t.text for t in root.iter(self.SVG + "text")
                 if t.get("font-size") == "9"] == [note]
 
+    @pytest.mark.parametrize("infidelity", [None, [[0.0, 0.0]]], ids=["absent", "zero"])
+    def test_note_goes_to_the_first_panel_that_draws(self, infidelity):
+        # the infidelity panel is absent, or can place no point on its log-y
+        # axis: the second panel takes the note, and the third has none
+        curves = [[0.1, 0.2]]
+        table = SweepTable([1e-6, 1e-5], [9e6], [0.0, 0.0], curves, curves, curves, infidelity)
+        root = ET.fromstring(render_sweep_svg(
+            table, ["infidelity", "efficiency", "cooperativity"], note="r0 & mu"))
+        notes = [t for t in root.iter(self.SVG + "text") if t.get("font-size") == "9"]
+        assert [(t.text, t.get("x")) for t in notes] == [("r0 & mu", "326.67")]
+
     def test_unknown_output_raises(self):
         with pytest.raises(ValueError, match="no such output column: 'eta'"):
             self.render([1e-6, 1e-5], [[0.1, 0.2]], ["efficiency", "eta"])
@@ -422,6 +433,21 @@ class TestHeraldCommand:
         assert run_cli(["herald", "--config", cfg]) == 0
         assert capsys.readouterr().err.startswith("r0 mapping: c_kappa_b ")
 
+    def test_c_kappa_b_note_goes_to_the_first_panel_that_draws(self, tmp_path, capsys):
+        # with g_eo = 0 every infidelity is 0, so the log-y first panel draws
+        # nothing and the efficiency panel carries the note
+        text = (SHIPPED_FIXTURE.read_text()
+                .replace("r0_mapping = direct", "r0_mapping = c_kappa_b")
+                .replace("g_eo_hz = 40", "g_eo_hz = 0")
+                .replace("outputs = efficiency, cooperativity, infidelity",
+                         "outputs = infidelity, efficiency"))
+        cfg = write_config(tmp_path, text)
+        plot = tmp_path / "plot.svg"
+        assert run_cli(["sweep", "--config", cfg, "--plot", str(plot)]) == 0
+        note = capsys.readouterr().err.rstrip("\n")
+        assert note.startswith("r0 mapping: c_kappa_b ")
+        assert plot.read_text().count(f">{note}</text>") == 1
+
     def test_zero_rate_mc_is_exactly_zero(self, tmp_path, capsys):
         text = DEVICE_SECTION + (
             "\n[drive]\npower_w = 0\nscheme = blue\n"
@@ -457,7 +483,7 @@ class TestHeraldCommand:
         def no_draw(*args):
             raise AssertionError("an MC block was drawn")
 
-        monkeypatch.setattr(herald, "_count_claimed", no_draw)
+        monkeypatch.setattr(herald, "_count_errors", no_draw)
         cfg = self._blue_config(tmp_path)
         assert run_cli(["herald", "--config", cfg, "--mc", samples]) == 5
         captured = capsys.readouterr()
@@ -468,11 +494,10 @@ class TestHeraldCommand:
         # the benchmark's cold calls use --mc 1000000; the cap is inclusive
         assert MC_SAMPLES_CAP >= 1_000_000
         calls = []
-        monkeypatch.setattr(herald, "_count_claimed", lambda *args: calls.append(args) or 0)
+        monkeypatch.setattr(herald, "_count_errors", lambda *args: calls.append(args) or 0)
         cfg = self._blue_config(tmp_path)
         assert run_cli(["herald", "--config", cfg, "--mc", str(MC_SAMPLES_CAP)]) == 0
-        # the caller and the helper, each asked to count all of the samples
-        assert [args[1] for args in calls] == [MC_SAMPLES_CAP] * 2
+        assert [args[1] for args in calls] == [MC_SAMPLES_CAP]
         assert float(parse_single_record(capsys.readouterr().out)["mc_infidelity"]) == 0.0
 
     def test_red_with_mc_unsupported(self, capsys):

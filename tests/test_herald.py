@@ -1,4 +1,3 @@
-import itertools
 import math
 import threading
 import tracemalloc
@@ -288,8 +287,8 @@ class TestMonteCarlo:
            mu=st.floats(0.0, 10.0, exclude_max=True) | st.floats(1e-12, 1e-6))
     @example(seed=0, block_size=1, blocks=1, last=1.0, mu=0.0)
     @example(seed=7, block_size=65_537, blocks=1, last=1.0, mu=1e-9)
-    # blocks of fewer chunks than threads, cursors that start off the 4-word
-    # counter step, and partial last blocks shorter than a chunk
+    # blocks of one chunk, cursors that start off the 4-word counter step,
+    # and partial last blocks shorter than a chunk
     @example(seed=1, block_size=1, blocks=3, last=1.0, mu=2.0)
     @example(seed=2, block_size=2, blocks=2, last=0.0, mu=2.0)
     @example(seed=3, block_size=3, blocks=4, last=0.5, mu=0.3)
@@ -297,9 +296,9 @@ class TestMonteCarlo:
     @example(seed=5, block_size=2**14 + 3, blocks=2, last=0.0, mu=0.3)
     def test_block_counts_match_whole_array_draws(self, chunk, seed, block_size, blocks,
                                                    last, mu):
-        # the raw words, compared as integers chunk by chunk on two threads
-        # whose claims run across block boundaries, count the same errors as
-        # two whole arrays of Generator.random doubles per block
+        # the raw words, compared as integers chunk by chunk and block after
+        # block, count the same errors as two whole arrays of Generator.random
+        # doubles per block
         samples = (blocks - 1) * block_size + max(1, round(last * block_size))
         p0, p1 = blue_probabilities(mu)[:2]
         expected = sum(
@@ -313,53 +312,24 @@ class TestMonteCarlo:
         assert est.infidelity_mean == expected / samples
 
     def test_block_keying_far_from_block_zero(self):
-        # block b draws from the (seed, b) stream: the 10000th block of a call
-        # counts what the reference draws for block 9999
+        # block b draws from the (seed, b) stream over all 10,000 blocks of a
+        # call, and the partial 10,000th counts what the reference draws for
+        # block 9999
         p0, p1 = blue_probabilities(0.3)[:2]
         t0, t1 = herald._word_thresholds(p0, p0 + p1)
-        claims = iter([(9999, 0), (9999, 5), (9999, 10)])
+        samples = 10_000 * 13 - 6
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(herald, "_BLOCK_SIZE", 12)
+            patch.setattr(herald, "_BLOCK_SIZE", 13)
             patch.setattr(herald, "_CHUNK_WORDS", 5)
-            count = herald._count_claimed(11, 10_000 * 12, claims, t0, t1)
-        assert count == reference_block_error_count(11, 9999, 12, p0, p0 + p1)
+            count = herald._count_errors(11, samples, t0, t1)
+            first_9999 = herald._count_errors(11, 9999 * 13, t0, t1)
+        assert count == sum(
+            reference_block_error_count(11, b, min(13, samples - b * 13), p0, p0 + p1)
+            for b in range(10_000))
+        assert count - first_9999 == reference_block_error_count(11, 9999, 7, p0, p0 + p1)
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(0, 2**64), block_size=st.integers(1, 150), blocks=st.integers(1, 3),
-           last=st.integers(1, 150), chunk=st.integers(1, 9), mu=st.floats(0.0, 3.0),
-           mine=st.lists(st.booleans(), max_size=450))
-    # alternate chunks, so each cursor pair jumps over every chunk of the other
-    @example(seed=3, block_size=17, blocks=1, last=17, chunk=1, mu=1.0, mine=[True, False] * 9)
-    @example(seed=4, block_size=150, blocks=3, last=150, chunk=5, mu=1.0,
-             mine=[True, False] * 45)
-    # one pair takes a block's last chunk and the next block's first
-    @example(seed=5, block_size=10, blocks=3, last=4, chunk=4, mu=1.0,
-             mine=[False, False, True, True, False, False, True])
-    def test_any_split_of_the_chunks_counts_the_same(self, seed, block_size, blocks, last,
-                                                     chunk, mu, mine):
-        # which thread claims which chunk depends on timing; every split of
-        # the claims between two cursor pairs, across block boundaries and with
-        # a partial last block, must give the call's count
-        samples = (blocks - 1) * block_size + min(last, block_size)
-        p0, p1 = blue_probabilities(mu)[:2]
-        expected = sum(
-            reference_block_error_count(seed, b, min(block_size, samples - b * block_size),
-                                        p0, p0 + p1)
-            for b in range(blocks))
-        claims = list(itertools.product(range(blocks),
-                                        range(0, min(block_size, samples), chunk)))
-        picked = [c for c, pick in zip(claims, mine) if pick]
-        parts = (picked, [c for c in claims if c not in picked])
-        t0, t1 = herald._word_thresholds(p0, p0 + p1)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(herald, "_BLOCK_SIZE", block_size)
-            patch.setattr(herald, "_CHUNK_WORDS", chunk)
-            counts = [herald._count_claimed(seed, samples, iter(part), t0, t1)
-                      for part in parts]
-        assert sum(counts) == expected
-
-    def test_one_helper_thread_per_call(self):
-        # many blocks, one thread start: the helper serves the whole call
+    def test_many_blocks_start_no_thread(self):
+        # the call is counted on the caller's thread alone
         start = threading.Thread.start
         started = []
 
@@ -367,29 +337,12 @@ class TestMonteCarlo:
             started.append(thread.name)
             start(thread)
 
+        threads = threading.active_count()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(herald, "_BLOCK_SIZE", 1000)
             patch.setattr(threading.Thread, "start", counted_start)
             mc_blue_infidelity(blue_model(0.3), samples=20_500, seed=1)
-        assert started == ["xduce-mc-helper"]
-
-    @pytest.mark.parametrize("failing", ["helper", "caller"])
-    def test_error_on_either_thread_reaches_the_caller(self, failing):
-        # whichever thread fails, the call raises that error and leaves no
-        # thread behind
-        count_claimed = herald._count_claimed
-
-        def failing_count_claimed(*args):
-            on_caller = threading.current_thread() is threading.main_thread()
-            if on_caller == (failing == "caller"):
-                raise ZeroDivisionError(f"{failing} thread")
-            return count_claimed(*args)
-
-        threads = threading.active_count()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(herald, "_count_claimed", failing_count_claimed)
-            with pytest.raises(ZeroDivisionError, match=f"^{failing} thread$"):
-                mc_blue_infidelity(blue_model(0.3), samples=10_000, seed=1)
+        assert started == []
         assert threading.active_count() == threads
 
     def test_block_working_memory_is_bounded(self):
