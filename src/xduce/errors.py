@@ -36,10 +36,6 @@ class BracketingError(ValueError):
 class InstabilityError(RuntimeError):
     """Blue-detuned steady state does not exist at or beyond threshold."""
 
-    def __init__(self, message: str, threshold: float):
-        super().__init__(message)
-        self.threshold = threshold
-
 
 class ConfigError(ValueError):
     """A run configuration file is malformed or inconsistent."""

@@ -167,7 +167,8 @@ def red_breakdown(model: HeraldModel) -> HeraldBreakdown:
         raise UsageError("red_breakdown requires a red-scheme model")
     mu = model.mu
     p0 = 1.0 - math.exp(-mu)
-    p11 = (1.0 - p0) ** 2
+    # a product, not ** 2: C pow need not round correctly
+    p11 = (1.0 - p0) * (1.0 - p0)
     return HeraldBreakdown(
         p0=p0, p1=None, p11=p11, pmn=None, infidelity=p11, scheme=Scheme.RED
     )

@@ -130,12 +130,9 @@ def conversion_spectrum(sys: LinearizedSystem, omegas) -> list[ScatteringPoint]:
     if not omegas:
         raise UsageError("conversion_spectrum needs at least one probe offset")
     if sys.scheme is Scheme.BLUE and blue_unstable(sys):
-        threshold = parametric_threshold(sys)
         raise InstabilityError(
             f"blue-detuned steady state is unstable: g_eff = {sys.g_eff:.6g} rad/s "
-            f"is at or beyond the parametric threshold C = {threshold:.6g}",
-            threshold=threshold,
-        )
+            f"is at or beyond the parametric threshold C = {parametric_threshold(sys):.6g}")
     half_a = sys.kappa_a / 2.0
     half_b = sys.kappa_b / 2.0
     m12 = 1j * sys.g_eff

@@ -107,7 +107,7 @@ def render_sweep_svg(table, outputs, note: str | None = None) -> str:
     :func:`xduce.sweep.run_sweep`, one curve per Q; ``outputs`` the ordered
     output columns to draw, one panel each. ``note`` is an optional
     annotation (e.g. the r0 mapping in effect), written under the first
-    panel that draws.
+    panel that draws, or where the first panel's would be if none draws.
     """
     out = []
     outputs = list(outputs)
@@ -123,6 +123,8 @@ def render_sweep_svg(table, outputs, note: str | None = None) -> str:
         if curves is not None and _panel(out, powers, logs, curves, title,
                                          output == "infidelity", i * panel_w, panel_w, note):
             note = None
+    if note:  # no panel drew: the note goes where the first panel's would
+        _text(out, _MARGIN["left"], HEIGHT - _MARGIN["bottom"] + 46.0, note, 'font-size="9"')
     # legend, one swatch per Q
     for idx, q in enumerate(table.q_b):
         y = 14.0 + 14.0 * idx

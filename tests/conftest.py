@@ -1,13 +1,76 @@
 import math
 import re
+from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import xduce
 from xduce import Mode, TransducerConfig
 from xduce.core import _Frozen
 
 TWO_PI = 2.0 * math.pi
+
+SHIPPED_FIXTURE = Path(__file__).resolve().parent.parent / "configs" / "device.ini"
+GOLDEN_CSV = Path(__file__).resolve().parent / "data" / "golden_sweep.csv"
+
+
+def _replace_once(text: str, old: str, new: str) -> str:
+    if text.count(old) != 1:
+        raise ValueError(f"configs/device.ini no longer has one {old!r}")
+    return text.replace(old, new)
+
+
+_SHIPPED_TEXT = SHIPPED_FIXTURE.read_text()
+# The shipped [device] section alone, and the shipped config at 6 power points
+# with a {table} slot: the config behind the golden CSV, which the benchmark's
+# golden check also derives from configs/device.ini.
+DEVICE_SECTION = _SHIPPED_TEXT[_SHIPPED_TEXT.index("[device]\n"):_SHIPPED_TEXT.index("\n[drive]\n")]
+GOLDEN_TEMPLATE = _replace_once(
+    _replace_once(_SHIPPED_TEXT, "power_points = 16\n", "power_points = 6\n"),
+    "[output]\n", "[output]\ntable = {table}\n")
+
+
+def write_config(tmp_path, text, name="run.ini"):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def set_field(text, section, field, value):
+    """``text`` with ``field`` set to ``value``, added to ``[section]`` if absent."""
+    line = f"{field} = {value}"
+    if re.search(rf"^{field} = ", text, flags=re.M):
+        return re.sub(rf"^{field} = .*$", lambda _: line, text, flags=re.M)
+    return text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+
+
+def shipped_text(*changes) -> str:
+    """The shipped config with each ``(section, field, value)`` change made."""
+    text = _SHIPPED_TEXT
+    for section, field, value in changes:
+        text = set_field(text, section, field, value)
+    return text
+
+
+def log_uniform(lo: float, hi: float):
+    """Floats 10^e for e drawn uniformly from [lo, hi]."""
+    return st.floats(lo, hi).map(lambda exponent: 10.0 ** exponent)
+
+
+def truncated_error_probability(mu, nmax=20):
+    """Independent oracle: exhaustive truncated-Poisson classification."""
+    import numpy as np
+    from scipy.stats import poisson
+
+    pmf = poisson.pmf(np.arange(nmax + 1), mu)
+    total = 0.0
+    for n_a in range(nmax + 1):
+        for n_b in range(nmax + 1):
+            if (n_a == 1 and n_b == 1) or n_a >= 2 or n_b >= 2:
+                total += pmf[n_a] * pmf[n_b]
+    return float(total)
+
 
 # Golden-section interval shrink factor per iteration.
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -5,11 +5,9 @@ captured output) so the run doubles as a checklist.
 """
 
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import poisson
 
 from xduce import (
     DriveCondition,
@@ -33,11 +31,8 @@ from xduce import (
 )
 from xduce.cli import run_cli
 from xduce.herald import multi_photon_probability
-from conftest import TWO_PI, golden_section_max, make_device
-
-HERE = Path(__file__).resolve().parent
-SHIPPED_FIXTURE = HERE.parent / "configs" / "device.ini"
-GOLDEN_CSV = HERE / "data" / "golden_sweep.csv"
+from conftest import (GOLDEN_CSV, GOLDEN_TEMPLATE, SHIPPED_FIXTURE, TWO_PI, golden_section_max,
+                      make_device, truncated_error_probability)
 
 
 def random_device(rng):
@@ -152,21 +147,12 @@ def test_criterion_5_blue_herald_formulas():
 
 
 def test_criterion_6_monte_carlo_vs_exact():
-    def exact_error_probability(mu, nmax=20):
-        pmf = poisson.pmf(np.arange(nmax + 1), mu)
-        total = 0.0
-        for n_a in range(nmax + 1):
-            for n_b in range(nmax + 1):
-                if (n_a == 1 and n_b == 1) or n_a >= 2 or n_b >= 2:
-                    total += pmf[n_a] * pmf[n_b]
-        return float(total)
-
     start = time.perf_counter()
     gaps = []
     for mu in (0.001, 0.01, 0.1):
         model = HeraldModel(r0=mu, dt=1.0, scheme=Scheme.BLUE)
         estimate = mc_blue_infidelity(model, samples=10_000_000, seed=42)
-        exact = exact_error_probability(mu)
+        exact = truncated_error_probability(mu)
         gap_se = abs(estimate.infidelity_mean - exact) / estimate.standard_error
         assert gap_se <= 3.0, f"mu = {mu}: {gap_se:.2f} standard errors"
         gaps.append(gap_se)
@@ -208,20 +194,11 @@ def test_criterion_8_blue_parametric_threshold():
 
 
 def test_criterion_9_cli_contract(tmp_path, capsys):
-    device_section = (SHIPPED_FIXTURE.read_text().split("[drive]")[0]).strip() + "\n"
-    golden_template = device_section + (
-        "\n[drive]\npower_w = 2e-5\ndetuning_hz = 0\nscheme = red\n"
-        "\n[herald]\ndt_s = 1e-3\nr0_mapping = direct\nr0_per_s = 100\n"
-        "\n[sweep]\npower_min_w = 1e-7\npower_max_w = 1e-3\npower_points = 6\n"
-        "power_spacing = log\nq_values = 9e6, 9e7\n"
-        "outputs = efficiency, cooperativity, infidelity\n"
-        "\n[output]\nformat = csv\ntable = {table}\nseed = 12345\n"
-    )
     tables = []
     for name in ("a.csv", "b.csv"):
         table = tmp_path / name
         cfg_path = tmp_path / f"{name}.ini"
-        cfg_path.write_text(golden_template.format(table=table))
+        cfg_path.write_text(GOLDEN_TEMPLATE.format(table=table))
         assert run_cli(["sweep", "--config", str(cfg_path)]) == 0
         tables.append(table.read_bytes())
     assert tables[0] == tables[1]

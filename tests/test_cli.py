@@ -38,51 +38,11 @@ from xduce.cli import MC_SAMPLES_CAP, _sweep_lines, build_parser, run_cli
 from xduce.config import _SCHEMA, load_config
 from xduce.svgplot import _PALETTE, render_sweep_svg
 from xduce.sweep import HeraldOptions, PowerAxis, SweepSpec, SweepTable, run_sweep
-from conftest import checked_float_types
+from conftest import (DEVICE_SECTION, GOLDEN_CSV, GOLDEN_TEMPLATE, SHIPPED_FIXTURE,
+                      checked_float_types, log_uniform, set_field, shipped_text, write_config)
 
 HERE = Path(__file__).resolve().parent
-SHIPPED_FIXTURE = HERE.parent / "configs" / "device.ini"
-GOLDEN_CSV = HERE / "data" / "golden_sweep.csv"
 SWEEP_HEADER = "pump_power_w,q_b,n_p,cooperativity,eta_internal,eta,infidelity"
-
-DEVICE_SECTION = """\
-[device]
-a_frequency_hz = 193.5e12
-a_kappa_i_hz = 10e6
-a_kappa_ex_hz = 20e6
-b_frequency_hz = 9e9
-b_kappa_i_hz = 0.07957747154594767
-b_kappa_ex_hz = 1000
-p_frequency_hz = 193.5e12
-p_kappa_i_hz = 15e6
-p_kappa_ex_hz = 15e6
-g_eo_hz = 40
-"""
-
-GOLDEN_TEMPLATE = DEVICE_SECTION + """
-[drive]
-power_w = 2e-5
-detuning_hz = 0
-scheme = red
-
-[herald]
-dt_s = 1e-3
-r0_mapping = direct
-r0_per_s = 100
-
-[sweep]
-power_min_w = 1e-7
-power_max_w = 1e-3
-power_points = 6
-power_spacing = log
-q_values = 9e6, 9e7
-outputs = efficiency, cooperativity, infidelity
-
-[output]
-format = csv
-table = {table}
-seed = 12345
-"""
 
 # r0 = C * kappa_b on a linear grid from 0 W: the SVG's note, and points a
 # log power axis (and the log-y infidelity panel) cannot place
@@ -95,12 +55,6 @@ LINEAR_TEMPLATE = (
     .replace("q_values = 9e6, 9e7", "q_values = 9e7, 9e6, 9e8")
 )
 GOLDEN_SVGS = {"golden_sweep.svg": GOLDEN_TEMPLATE, "golden_sweep_linear.svg": LINEAR_TEMPLATE}
-
-
-def write_config(tmp_path, text, name="run.ini"):
-    path = tmp_path / name
-    path.write_text(text)
-    return str(path)
 
 
 def parse_single_record(output: str) -> dict:
@@ -448,6 +402,18 @@ class TestHeraldCommand:
         assert note.startswith("r0 mapping: c_kappa_b ")
         assert plot.read_text().count(f">{note}</text>") == 1
 
+    def test_c_kappa_b_note_stays_when_no_panel_draws(self, tmp_path, capsys):
+        # the one panel, infidelity, is 0 everywhere with g_eo = 0: the note
+        # still goes where the first panel's would, under its frame
+        text = shipped_text(("herald", "r0_mapping", "c_kappa_b"), ("device", "g_eo_hz", "0"),
+                            ("sweep", "outputs", "infidelity"))
+        plot = tmp_path / "plot.svg"
+        assert run_cli(["sweep", "--config", write_config(tmp_path, text), "--plot", str(plot)]) == 0
+        note = capsys.readouterr().err.rstrip("\n")
+        assert note.startswith("r0 mapping: c_kappa_b ")
+        assert plot.read_text().count(f'<text x="60.00" y="596.00" font-size="9">{note}</text>') == 1
+        assert "<path" not in plot.read_text()
+
     def test_zero_rate_mc_is_exactly_zero(self, tmp_path, capsys):
         text = DEVICE_SECTION + (
             "\n[drive]\npower_w = 0\nscheme = blue\n"
@@ -552,7 +518,7 @@ class TestVerifyCommand:
                                                       power, unstable):
         text = DEVICE_SECTION
         for key, value in device.items():
-            text = re.sub(f"^{key} = .*$", f"{key} = {value!r}", text, flags=re.M)
+            text = set_field(text, "device", key, repr(value))
         if not device:  # shipped device, power in units of P*
             power *= critical_pump_power(load_config(str(SHIPPED_FIXTURE)).transducer)
         path = write_config(tmp_path, text + f"\n[drive]\npower_w = {power!r}\nscheme = blue\n")
@@ -957,29 +923,25 @@ def test_config_that_is_not_utf8_exits_2(tmp_path):
 
 # Every rate near 1e-160 Hz: kappa_a * kappa_b is the subnormal 1.73e-322 and
 # g_eo^2 underflows to 0, where C is about 382.
-TINY_KAPPA = (("a_kappa_i_hz", "2.30525e-161"), ("a_kappa_ex_hz", "5.54244e-162"),
-              ("b_kappa_i_hz", "1.54768e-163"), ("b_kappa_ex_hz", "9.91374e-169"),
-              ("p_kappa_i_hz", "5.4312e-158"), ("p_kappa_ex_hz", "6.17442e-153"),
-              ("g_eo_hz", "3.10095e-240"), ("power_w", "5.59361e-14"))
+TINY_KAPPA = shipped_text(
+    ("device", "a_kappa_i_hz", "2.30525e-161"), ("device", "a_kappa_ex_hz", "5.54244e-162"),
+    ("device", "b_kappa_i_hz", "1.54768e-163"), ("device", "b_kappa_ex_hz", "9.91374e-169"),
+    ("device", "p_kappa_i_hz", "5.4312e-158"), ("device", "p_kappa_ex_hz", "6.17442e-153"),
+    ("device", "g_eo_hz", "3.10095e-240"), ("drive", "power_w", "5.59361e-14"))
 
 
 # The pump linewidth at 1e-150 Hz: the buildup hbar omega_p (kappa_p/2)^2 is
 # the subnormal 5.06e-318.
-SUBNORMAL_BUILDUP = (("p_kappa_i_hz", "1e-150"), ("p_kappa_ex_hz", "1e-150"),
-                     ("power_w", "1e-160"))
+SUBNORMAL_BUILDUP = shipped_text(("device", "p_kappa_i_hz", "1e-150"),
+                                 ("device", "p_kappa_ex_hz", "1e-150"),
+                                 ("drive", "power_w", "1e-160"))
 
 
 # The pump linewidth at 1e-160 Hz under a 1e300 Hz pump: (kappa_p/2)^2 is the
 # subnormal 9.87e-320, but the buildup is a normal double.
-SUBNORMAL_SQUARE = (("p_frequency_hz", "1e300"), ("p_kappa_i_hz", "0.5e-160"),
-                    ("p_kappa_ex_hz", "0.5e-160"))
-
-
-def with_fields(text: str, fields) -> str:
-    for key, value in fields:
-        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
-        assert count == 1
-    return text
+SUBNORMAL_SQUARE = shipped_text(("device", "p_frequency_hz", "1e300"),
+                                ("device", "p_kappa_i_hz", "0.5e-160"),
+                                ("device", "p_kappa_ex_hz", "0.5e-160"))
 
 
 def test_verify_residual_failure_exits_3(monkeypatch, capsys):
@@ -996,8 +958,7 @@ def test_verify_residual_failure_exits_3(monkeypatch, capsys):
 def test_tiny_kappa_config_exits_3(tmp_path, command):
     # C and eta would read 0 here; the product that leaves the normal
     # doubles is named instead
-    text = with_fields(SHIPPED_FIXTURE.read_text(), TINY_KAPPA)
-    proc = fresh_python("-m", "xduce.cli", command, "--config", write_config(tmp_path, text))
+    proc = fresh_python("-m", "xduce.cli", command, "--config", write_config(tmp_path, TINY_KAPPA))
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("domain error: ")
@@ -1008,18 +969,13 @@ def test_tiny_kappa_config_exits_3(tmp_path, command):
 def test_subnormal_pump_buildup_exits_3(tmp_path, capsys, command):
     # n_p came out off by 2.7e-7 relative, and verify passed, as both of its
     # sides shared that n_p
-    text = with_fields(SHIPPED_FIXTURE.read_text(), SUBNORMAL_BUILDUP)
-    assert run_cli([command, "--config", write_config(tmp_path, text)]) == 3
+    assert run_cli([command, "--config", write_config(tmp_path, SUBNORMAL_BUILDUP)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     # the sweep names its first point, the grid's lowest power at the lowest Q
     where = "sweep failed at Q_b = 9e+06, power = 1e-07 W: " * (command == "sweep")
     assert captured.err.startswith(f"domain error: {where}pump buildup hbar * omega_p * "
                                    f"((kappa_p/2)^2 + delta_p^2) = 5.06")
-
-
-def _log_uniform(lo: float, hi: float):
-    return st.floats(lo, hi).map(lambda exponent: 10.0 ** exponent)
 
 
 @st.composite
@@ -1029,21 +985,21 @@ def hostile_configs(draw):
     from 1e-12 to past the model's regime."""
     lines = ["[device]"]
     for label in "abp":
-        lines += [f"{label}_frequency_hz = {draw(_log_uniform(9.0, 15.0))!r}",
-                  f"{label}_kappa_i_hz = {draw(_log_uniform(-150.0, 150.0))!r}",
-                  f"{label}_kappa_ex_hz = {draw(_log_uniform(-150.0, 150.0))!r}"]
-    g_eo = draw(st.just(0.0) | _log_uniform(-300.0, 150.0))
-    power = draw(st.just(0.0) | _log_uniform(-320.0, 10.0))
+        lines += [f"{label}_frequency_hz = {draw(log_uniform(9.0, 15.0))!r}",
+                  f"{label}_kappa_i_hz = {draw(log_uniform(-150.0, 150.0))!r}",
+                  f"{label}_kappa_ex_hz = {draw(log_uniform(-150.0, 150.0))!r}"]
+    g_eo = draw(st.just(0.0) | log_uniform(-300.0, 150.0))
+    power = draw(st.just(0.0) | log_uniform(-320.0, 10.0))
     lines += [f"g_eo_hz = {g_eo!r}", "", "[drive]", f"power_w = {power!r}",
               f"scheme = {draw(st.sampled_from(['red', 'blue']))}"]
-    dt = draw(_log_uniform(-15.0, 0.0))
-    mu = draw(_log_uniform(-12.0, 1.3))
+    dt = draw(log_uniform(-15.0, 0.0))
+    mu = draw(log_uniform(-12.0, 1.3))
     lines += ["", "[herald]", f"dt_s = {dt!r}",
               f"r0_mapping = {draw(st.sampled_from(['direct', 'c_kappa_b']))}",
               f"r0_per_s = {mu / dt!r}"]
     low, high = sorted(draw(st.lists(st.floats(-320.0, 10.0), min_size=2, max_size=2,
                                      unique=True)))
-    q_values = draw(st.lists(_log_uniform(3.0, 12.0), min_size=1, max_size=2, unique=True))
+    q_values = draw(st.lists(log_uniform(3.0, 12.0), min_size=1, max_size=2, unique=True))
     lines += ["", "[sweep]", f"power_min_w = {10.0 ** low!r}", f"power_max_w = {10.0 ** high!r}",
               f"power_points = {draw(st.integers(2, 3))}",
               f"power_spacing = {draw(st.sampled_from(['log', 'linear']))}",
@@ -1084,11 +1040,10 @@ def assert_probabilities(record: dict, *keys) -> None:
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(text=hostile_configs())
-@example(text=with_fields(SHIPPED_FIXTURE.read_text(), TINY_KAPPA))
-@example(text=with_fields(SHIPPED_FIXTURE.read_text(),
-                          (("scheme", "blue"), ("r0_per_s", "1e-6"))))
-@example(text=with_fields(SHIPPED_FIXTURE.read_text(), SUBNORMAL_BUILDUP))
-@example(text=with_fields(SHIPPED_FIXTURE.read_text(), SUBNORMAL_SQUARE))
+@example(text=TINY_KAPPA)
+@example(text=shipped_text(("drive", "scheme", "blue"), ("herald", "r0_per_s", "1e-6")))
+@example(text=SUBNORMAL_BUILDUP)
+@example(text=SUBNORMAL_SQUARE)
 def test_commands_keep_their_contract_on_hostile_configs(text):
     # every exit is a success, a config error or a domain error, and what a
     # success prints is in range; verify never exits 6 here, so its oracle
@@ -1126,8 +1081,7 @@ def test_commands_keep_their_contract_on_hostile_configs(text):
 def test_verify_with_a_subnormal_eta_exits_3(tmp_path):
     # n_p, g_eo^2 and C's numerator are normal doubles, but C and eta (about
     # 4.7e-316) are below them, where eta cannot carry 9 significant digits
-    text = with_fields(SHIPPED_FIXTURE.read_text(),
-                       (("g_eo_hz", "1e-153"), ("power_w", "1.6e-11")))
+    text = shipped_text(("device", "g_eo_hz", "1e-153"), ("drive", "power_w", "1.6e-11"))
     cfg = write_config(tmp_path, text)
     proc = fresh_python("-m", "xduce.cli", "verify", "--config", cfg)
     assert proc.returncode == 3
@@ -1200,10 +1154,7 @@ NUMERIC_FIELDS = (
     "power_points", "q_values", "seed",
 )
 SPECIAL_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-308", "5e-324")
-HOSTILE_VALUE = st.one_of(
-    st.sampled_from(SPECIAL_VALUES),
-    st.floats(-320.0, 308.0).map(lambda exponent: repr(10.0 ** exponent)),
-)
+HOSTILE_VALUE = st.sampled_from(SPECIAL_VALUES) | log_uniform(-320.0, 308.0).map(repr)
 
 
 def _reject_constant(constant):

@@ -2,9 +2,7 @@ import contextlib
 import io
 import math
 import os
-import re
 import tempfile
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +11,7 @@ from hypothesis import strategies as st
 from xduce import ConfigError, Mode, Scheme, TransducerConfig
 from xduce.cli import run_cli
 from xduce.config import _SCHEMA, dump_normalized, load_config
-
-SHIPPED_FIXTURE = Path(__file__).resolve().parent.parent / "configs" / "device.ini"
+from conftest import SHIPPED_FIXTURE, log_uniform, set_field, write_config
 
 MINIMAL = """\
 [device]
@@ -29,12 +26,6 @@ p_kappa_i_hz = 15e6
 p_kappa_ex_hz = 15e6
 g_eo_hz = 40
 """
-
-
-def write_config(tmp_path, text, name="run.ini"):
-    path = tmp_path / name
-    path.write_text(text)
-    return str(path)
 
 
 def test_shipped_fixture_loads():
@@ -214,14 +205,6 @@ HOSTILE_TEXT = ("", "abc", ", ,", "1,2", "nan", "-1", "1e400", "1.5", "50%")
 FILE_LEVEL = ("cannot parse ", "unknown section [", "missing [device] section")
 
 
-def set_field(text, section, field, value):
-    """``text`` with ``field`` set to ``value``, added to ``[section]`` if absent."""
-    line = f"{field} = {value}"
-    if re.search(rf"^{field} = ", text, flags=re.M):
-        return re.sub(rf"^{field} = .*$", lambda _: line, text, flags=re.M)
-    return text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(changes=st.lists(
     st.tuples(st.sampled_from([(section, field) for section, fields in _SCHEMA.items()
@@ -284,24 +267,20 @@ def test_repeated_outputs_rejected(tmp_path):
         load_config(write_config(tmp_path, text))
 
 
-def _log10_uniform(lo, hi):
-    return st.floats(lo, hi).map(lambda exponent: 10.0 ** exponent)
-
-
 @st.composite
 def device_sections(draw):
     """A [device] section with each mode in Q form or kappa form."""
     lines = ["[device]"]
     for label in "abp":
-        frequency = draw(_log10_uniform(9.0, 15.0))
+        frequency = draw(log_uniform(9.0, 15.0))
         lines.append(f"{label}_frequency_hz = {frequency!r}")
         if draw(st.booleans()):
-            lines += [f"{label}_q_i = {draw(_log10_uniform(3.0, 12.0))!r}",
-                      f"{label}_q_ex = {draw(_log10_uniform(3.0, 12.0))!r}"]
+            lines += [f"{label}_q_i = {draw(log_uniform(3.0, 12.0))!r}",
+                      f"{label}_q_ex = {draw(log_uniform(3.0, 12.0))!r}"]
         else:
-            lines += [f"{label}_kappa_i_hz = {draw(_log10_uniform(-2.0, 8.0))!r}",
-                      f"{label}_kappa_ex_hz = {draw(_log10_uniform(-2.0, 8.0))!r}"]
-    lines.append(f"g_eo_hz = {draw(_log10_uniform(-1.0, 4.0))!r}")
+            lines += [f"{label}_kappa_i_hz = {draw(log_uniform(-2.0, 8.0))!r}",
+                      f"{label}_kappa_ex_hz = {draw(log_uniform(-2.0, 8.0))!r}"]
+    lines.append(f"g_eo_hz = {draw(log_uniform(-1.0, 4.0))!r}")
     return "\n".join(lines) + "\n"
 
 

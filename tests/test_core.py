@@ -2,7 +2,6 @@ import math
 import re
 from enum import Enum
 from fractions import Fraction
-from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
 import numpy as np
@@ -51,9 +50,7 @@ from xduce import (
 )
 from xduce.config import RunConfig, load_config
 from xduce.core import _Frozen, photon_number
-from conftest import TWO_PI, checked_float_types, make_device
-
-SHIPPED_FIXTURE = Path(__file__).resolve().parent.parent / "configs" / "device.ini"
+from conftest import SHIPPED_FIXTURE, TWO_PI, checked_float_types, log_uniform, make_device
 
 
 class TestModeInvariants:
@@ -353,14 +350,12 @@ class TestConversionEfficiency:
             assert breakdown.eta <= breakdown.eta_i
 
 
-def _log_uniform(lo: float, hi: float):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda exponent: 10.0**exponent)
-
-
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(omegas=st.tuples(*[_log_uniform(1e9, 1e16)] * 3),
-       kappas=st.tuples(*[_log_uniform(1e-3, 1e9)] * 6), g_eo=_log_uniform(1e-3, 1e6),
-       detuning=st.one_of(st.just(0.0), st.floats(-1e9, 1e9)), power=_log_uniform(1e-12, 1.0),
+@given(omegas=st.tuples(*[log_uniform(math.log10(1e9), math.log10(1e16))] * 3),
+       kappas=st.tuples(*[log_uniform(math.log10(1e-3), math.log10(1e9))] * 6),
+       g_eo=log_uniform(math.log10(1e-3), math.log10(1e6)),
+       detuning=st.one_of(st.just(0.0), st.floats(-1e9, 1e9)),
+       power=log_uniform(math.log10(1e-12), math.log10(1.0)),
        offsets=st.tuples(*[st.floats(-10.0, 10.0)] * 2), j=st.integers(-100, 100))
 # a design whose squares, taken with ** 2 (C pow), lost a bit at 4^2
 @example(omegas=(1584430000000.0, 1028610000000000.0, 1108450000000000.0),

@@ -2,12 +2,12 @@ import math
 import threading
 import tracemalloc
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import poisson
 
 from xduce import (
     DomainError,
@@ -23,7 +23,7 @@ from xduce import (
 )
 from xduce import herald
 from xduce.herald import blue_probabilities
-from conftest import reference_block_error_count
+from conftest import reference_block_error_count, truncated_error_probability
 
 # High-precision references for mu = 0.1, evaluated with 50-digit decimal
 # arithmetic during development and frozen here.
@@ -88,17 +88,6 @@ FROZEN_MC = {
 
 def blue_model(mu):
     return HeraldModel(r0=mu, dt=1.0, scheme=Scheme.BLUE)
-
-
-def truncated_error_probability(mu, nmax=20):
-    """Independent oracle: exhaustive truncated-Poisson classification."""
-    pmf = poisson.pmf(np.arange(nmax + 1), mu)
-    total = 0.0
-    for n_a in range(nmax + 1):
-        for n_b in range(nmax + 1):
-            if (n_a == 1 and n_b == 1) or n_a >= 2 or n_b >= 2:
-                total += pmf[n_a] * pmf[n_b]
-    return float(total)
 
 
 class TestBlueBreakdown:
@@ -240,6 +229,15 @@ class TestRedBreakdown:
     def test_wrong_scheme_rejected(self):
         with pytest.raises(UsageError):
             red_breakdown(HeraldModel(r0=1.0, dt=1.0, scheme=Scheme.BLUE))
+
+    def test_p11_is_the_square_rounded_once(self):
+        # a product, not ** 2: C pow need not round correctly, and at the
+        # shipped window with r0 = 6.19691480648997 /s it read one ulp high
+        windows = [(6.19691480648997, 1e-3)] + [(mu, 1.0) for mu in np.logspace(-6.0, 1.0, 2001)]
+        for r0, dt in windows:
+            bd = red_breakdown(HeraldModel(r0=float(r0), dt=dt, scheme=Scheme.RED))
+            assert bd.p11 == float(Fraction(1.0 - bd.p0) ** 2), r0
+            assert bd.infidelity == bd.p11
 
 
 class TestModelValidation:

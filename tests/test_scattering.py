@@ -3,7 +3,6 @@ import hashlib
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,9 +31,7 @@ from xduce import (
 from xduce import scattering
 from xduce.config import load_config
 from xduce.scattering import blue_unstable
-from conftest import TWO_PI, make_device
-
-SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "device.ini"
+from conftest import SHIPPED_FIXTURE, TWO_PI, log_uniform, make_device
 
 
 def numpy_conversion(sys_, omega):
@@ -253,9 +250,8 @@ class TestBlueScheme:
     def test_unstable_at_and_beyond_threshold(self, device):
         for c in (1.001, 2.0, 10.0):
             sys_ = self._blue_at(device, c)
-            with pytest.raises(InstabilityError) as excinfo:
+            with pytest.raises(InstabilityError, match=r"parametric threshold C = 1$"):
                 scattering_at(sys_, 0.0)
-            assert excinfo.value.threshold == pytest.approx(1.0, abs=1e-9)
 
     def test_determinant_sign_change_at_threshold(self, device):
         # on-resonance determinant of the blue system, from the dense matrix:
@@ -301,7 +297,7 @@ class TestBlueScheme:
         # at the example's n_p* core's C is 1.0 but 4G^2/(kappa_a kappa_b)
         # rounds to 1 - 2^-52, so a verdict from a C comparison could differ
         if design == "shipped":
-            cfg = load_config(str(SHIPPED_CONFIG)).transducer
+            cfg = load_config(str(SHIPPED_FIXTURE)).transducer
         else:
             cfg = TransducerConfig(
                 mode_a=Mode("a", 1e15, 172785996.358896, 247322256.22389582),
@@ -401,6 +397,31 @@ class TestBlueScheme:
         # det M(0) = (ka/2)(kb/2) - G^2 cancels to 1 - C of its terms, so the
         # error grows as about one ulp over 1 - C: near 1e-10 at the cut
         assert abs(conversion - expected) <= 1e-9 * expected
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(rates=st.tuples(*[log_uniform(-20.0, 20.0)] * 4), u=st.floats(1e-4, 1.0),
+       boost=st.sampled_from([1.0, 3.0]), offsets=st.lists(st.floats(-1.0, 1.0), max_size=8))
+def test_spectrum_matches_closed_form_at_every_probe(rates, u, boost, offsets):
+    # |S_ba(w)|^2 = ka_ex kb_ex G^2 / ((ka kb/4 - w^2 +- G^2)^2 + w^2 (ka + kb)^2/4),
+    # + for red and - for blue, at verify's 32 probe offsets, on resonance and
+    # at drawn offsets in +-5 max(ka, kb); blue only below its threshold
+    kappa_a_i, kappa_a_ex, kappa_b_i, kappa_b_ex = rates
+    ka, kb = kappa_a_i + kappa_a_ex, kappa_b_i + kappa_b_ex
+    c = boost * u**3
+    g = math.sqrt(c * ka * kb / 4.0)
+    span = 5.0 * max(ka, kb)
+    omegas = [span * ((2 * k + 1) / 32 - 1.0) for k in range(32)] + [0.0]
+    omegas += [span * v for v in offsets]
+    for scheme, sign in ((Scheme.RED, 1.0), (Scheme.BLUE, -1.0)):
+        if scheme is Scheme.BLUE and c >= 1.0 - 1e-6:
+            continue
+        sys_ = LinearizedSystem(g, kappa_a_i, kappa_a_ex, kappa_b_i, kappa_b_ex, scheme)
+        for point in conversion_spectrum(sys_, omegas):
+            w = point.probe_offset
+            expected = kappa_a_ex * kappa_b_ex * g**2 / (
+                (ka * kb / 4.0 - w**2 + sign * g**2) ** 2 + w**2 * (ka + kb) ** 2 / 4.0)
+            assert abs(point.conversion - expected) <= 1e-9 * expected, (scheme, w)
 
 
 def test_verify_pipeline_from_drive(device):

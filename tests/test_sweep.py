@@ -31,7 +31,7 @@ from xduce import (
 )
 from xduce import core
 from xduce.core import photon_number
-from conftest import TWO_PI, golden_section_max, make_device
+from conftest import TWO_PI, golden_section_max, log_uniform, make_device
 
 
 def eta_of_power(cfg, power, pump_detuning=0.0):
@@ -430,10 +430,6 @@ def test_herald_options_validation():
     assert options.dt == float(np.float32(1e-3))
 
 
-def _log_float(lo, hi):
-    return st.floats(lo, hi).map(lambda e: 10.0**e)
-
-
 @st.composite
 def sweep_specs(draw):
     def mode(label, omega, kappa):
@@ -444,41 +440,41 @@ def sweep_specs(draw):
         return draw(hostile if draw(st.integers(0, 4)) == 0 else usual)
 
     def either_side(low, high):
-        return _log_float(*low) | _log_float(*high)
+        return log_uniform(*low) | log_uniform(*high)
 
     # one draw in five so wide or so narrow that the pump buildup can fail
-    kappa_p = one_in_five(either_side((-170.0, -150.0), (150.0, 170.0)), _log_float(6.0, 9.0))
+    kappa_p = one_in_five(either_side((-170.0, -150.0), (150.0, 170.0)), log_uniform(6.0, 9.0))
     # one draw in five so strong that (1+C)^2 overflows, and one in five
     # where C's numerator 4 n_p g_eo^2 leaves the normal doubles: above them,
     # or below them at powers so low that n_p is below 1e-3
     coupling = draw(st.sampled_from(["overflow"] * 2 + ["above", "below"] + ["usual"] * 6))
-    g_eo = {"overflow": _log_float(74.0, 90.0), "above": _log_float(152.0, 154.0),
-            "below": _log_float(-153.5, -153.0), "usual": _log_float(-2.0, 4.0)}[coupling]
+    g_eo = {"overflow": log_uniform(74.0, 90.0), "above": log_uniform(152.0, 154.0),
+            "below": log_uniform(-153.5, -153.0), "usual": log_uniform(-2.0, 4.0)}[coupling]
     device = TransducerConfig(
-        mode_a=mode("a", 1.2e15, draw(_log_float(2.0, 10.0))),
-        mode_b=mode("b", 5.7e10, draw(_log_float(-1.0, 6.0))),
+        mode_a=mode("a", 1.2e15, draw(log_uniform(2.0, 10.0))),
+        mode_b=mode("b", 5.7e10, draw(log_uniform(-1.0, 6.0))),
         mode_p=Mode("p", 1.2e15, kappa_p / 2.0, kappa_p / 2.0),
         g_eo=draw(g_eo),
     )
     if coupling == "below":
-        axis = PowerAxis(0.0, draw(_log_float(-25.0, -16.0)), points=draw(st.integers(2, 40)),
+        axis = PowerAxis(0.0, draw(log_uniform(-25.0, -16.0)), points=draw(st.integers(2, 40)),
                          spacing="linear")
     elif draw(st.booleans()):
         # one draw in five so weak that kappa_p_ex P can leave the normal doubles
-        low = one_in_five(_log_float(-320.0, -300.0), _log_float(-12.0, 2.0))
-        axis = PowerAxis(low, low * draw(_log_float(0.5, 8.0)),
+        low = one_in_five(log_uniform(-320.0, -300.0), log_uniform(-12.0, 2.0))
+        axis = PowerAxis(low, low * draw(log_uniform(0.5, 8.0)),
                          points=draw(st.integers(2, 40)), spacing="log")
     else:
-        axis = PowerAxis(0.0, draw(_log_float(-9.0, 2.0)), points=draw(st.integers(2, 40)),
+        axis = PowerAxis(0.0, draw(log_uniform(-9.0, 2.0)), points=draw(st.integers(2, 40)),
                          spacing="linear")
     if draw(st.booleans()):
         # one draw in five so long that r0 * dt overflows
-        options = HeraldOptions(dt=one_in_five(_log_float(300.0, 308.0), _log_float(-16.0, -4.0)),
+        options = HeraldOptions(dt=one_in_five(log_uniform(300.0, 308.0), log_uniform(-16.0, -4.0)),
                                 r0_mapping="c_kappa_b")
     else:
-        options = HeraldOptions(dt=draw(_log_float(-6.0, -1.0)), r0_mapping="direct",
+        options = HeraldOptions(dt=draw(log_uniform(-6.0, -1.0)), r0_mapping="direct",
                                 r0_value=draw(st.floats(0.0, 1e3)))
-    q_axis = draw(st.lists(_log_float(4.0, 10.0), min_size=1, max_size=4, unique=True))
+    q_axis = draw(st.lists(log_uniform(4.0, 10.0), min_size=1, max_size=4, unique=True))
     # one draw in five adds a Q at which alone the chain can fail: so low
     # that kappa_b, or kappa_a kappa_b, can leave the normal doubles, or so
     # high that (1+C)^2 can overflow
@@ -565,16 +561,16 @@ def optimum_cases(draw):
         frac = draw(st.floats(0.01, 1.0))
         return Mode(label, omega, kappa * (1.0 - frac), kappa * frac)
 
-    kappa_p = draw(_log_float(6.0, 9.0))
+    kappa_p = draw(log_uniform(6.0, 9.0))
     cfg = TransducerConfig(
-        mode_a=mode("a", 1.2e15, draw(_log_float(2.0, 10.0))),
-        mode_b=mode("b", 5.7e10, draw(_log_float(-1.0, 6.0))),
+        mode_a=mode("a", 1.2e15, draw(log_uniform(2.0, 10.0))),
+        mode_b=mode("b", 5.7e10, draw(log_uniform(-1.0, 6.0))),
         mode_p=mode("p", 1.2e15, kappa_p),
-        g_eo=TWO_PI * draw(_log_float(0.0, 3.0)),
+        g_eo=TWO_PI * draw(log_uniform(0.0, 3.0)),
     )
     detuning = 0.0
     if draw(st.booleans()):
-        detuning = draw(st.sampled_from((-1.0, 1.0))) * kappa_p * draw(_log_float(-2.0, 1.0))
+        detuning = draw(st.sampled_from((-1.0, 1.0))) * kappa_p * draw(log_uniform(-2.0, 1.0))
     p_star = critical_pump_power(cfg, detuning)
     lo = p_star * 10.0**draw(st.floats(-3.0, 0.5))
     hi = p_star * 10.0**draw(st.floats(-0.5, 3.0))
@@ -626,16 +622,16 @@ def hostile_optima(draw):
     kappa_i 0 in two draws of three, g_eo from 1e-300 to 1e150 Hz or, in one
     draw of ten, 0, a signed pump detuning and a bracket (0, hi)."""
     def mode(label):
-        rates = [TWO_PI * draw(_log_float(-150.0, 150.0)) for _ in range(2)]
+        rates = [TWO_PI * draw(log_uniform(-150.0, 150.0)) for _ in range(2)]
         zeroed = draw(st.integers(0, 2))
         if zeroed < 2:
             rates[zeroed] = 0.0
-        return Mode(label, TWO_PI * draw(_log_float(9.0, 15.0)), *rates)
+        return Mode(label, TWO_PI * draw(log_uniform(9.0, 15.0)), *rates)
 
-    g_eo = 0.0 if draw(st.integers(0, 9)) == 0 else TWO_PI * draw(_log_float(-300.0, 150.0))
+    g_eo = 0.0 if draw(st.integers(0, 9)) == 0 else TWO_PI * draw(log_uniform(-300.0, 150.0))
     cfg = TransducerConfig(mode("a"), mode("b"), mode("p"), g_eo)
-    detuning = draw(st.sampled_from((-TWO_PI, 0.0, TWO_PI))) * draw(_log_float(-150.0, 150.0))
-    return cfg, detuning, (0.0, draw(st.just(math.inf) | _log_float(-320.0, 300.0)))
+    detuning = draw(st.sampled_from((-TWO_PI, 0.0, TWO_PI))) * draw(log_uniform(-150.0, 150.0))
+    return cfg, detuning, (0.0, draw(st.just(math.inf) | log_uniform(-320.0, 300.0)))
 
 
 def hostile_example(kappa_a=1e10, kappa_b=1e10, mode_p=Mode("p", 1e15, 1e6, 1e6), g_eo=1.0,
