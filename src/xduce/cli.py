@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from itertools import repeat
 
 from . import core, herald, scattering, sweep
 from .config import RunConfig, dump_normalized, load_config
@@ -47,29 +48,34 @@ def _emit_record(record: dict, fmt: str) -> None:
 
 def _sweep_lines(table, fmt: str):
     """The table's text, one chunk per Q_b, formatting each distinct value
-    once: the power and n_p reprs once per sweep, and a Q_b's line template
-    has its Q_b, and an infidelity constant over the grid, written in.
-    run_sweep only returns finite floats and no -0.0, so equal values print
-    alike, and a ``repr`` is also the value's JSON form."""
+    once: the power and n_p pieces, each repr with the separators around it,
+    once per sweep; a Q_b's repr, and an infidelity constant over the grid,
+    once per Q_b. A row is then the join of its pieces, the three reprs that
+    differ per row among them. run_sweep only returns finite floats and no
+    -0.0, so equal values print alike, and a ``repr`` is also the value's
+    JSON form."""
     if fmt == "jsonl":
-        line = "{{" + ", ".join(f'"{name}": {{}}' for name in SWEEP_HEADER.split(",")) + "}}\n"
+        # seps[j] comes before cell j, and seps[7] after the last
+        opens = ["{"] + [", "] * 6
+        seps = [f'{sep}"{name}": ' for sep, name in zip(opens, SWEEP_HEADER.split(","))] + ["}\n"]
+        missing = "null"
     else:
-        line = ",".join(["{}"] * 7) + "\n"
+        seps = [""] + [","] * 6 + ["\n"]
+        missing = ""
         yield SWEEP_HEADER + "\n"
-    powers, n_p = list(map(repr, table.pump_power_w)), list(map(repr, table.n_p))
+    powers = [seps[0] + repr(p) + seps[1] for p in table.pump_power_w]
+    n_p = [repr(n) + seps[3] for n in table.n_p]
     for k, q_b in enumerate(table.q_b):
-        columns = [powers, n_p, table.cooperativity[k], table.eta_i[k], table.eta[k]]
         if table.infidelity is None:
-            last = "null" if fmt == "jsonl" else ""
+            tail = repeat(seps[6] + missing + seps[7])
+        elif (infidelity := table.infidelity[k]).count(infidelity[0]) == len(infidelity):
+            tail = repeat(seps[6] + repr(infidelity[0]) + seps[7])
         else:
-            infidelity = table.infidelity[k]
-            if infidelity.count(infidelity[0]) == len(infidelity):
-                last = repr(infidelity[0])
-            else:
-                last = "%r"
-                columns.append(infidelity)
-        template = line.format("%s", repr(q_b), "%s", "%r", "%r", "%r", last)
-        yield "".join(map(template.__mod__, zip(*columns)))
+            tail = [seps[6] + repr(v) + seps[7] for v in infidelity]
+        yield "".join(map("".join, zip(
+            powers, repeat(repr(q_b) + seps[2]), n_p, map(repr, table.cooperativity[k]),
+            repeat(seps[4]), map(repr, table.eta_i[k]), repeat(seps[5]), map(repr, table.eta[k]),
+            tail)))
 
 
 def cmd_efficiency(run: RunConfig, args) -> int:

@@ -112,7 +112,8 @@ def blue_unstable(sys: LinearizedSystem) -> bool:
     # are real with a positive sum; the smaller one has the sign of
     # det K = (ka/2)(kb/2) - G^2. Rounding is monotone, so the comparison can
     # only err where both sides round equal, and there the solve's det is 0.
-    return sys.g_eff * sys.g_eff >= (sys.kappa_a / 2.0) * (sys.kappa_b / 2.0)
+    # A decoupled system (G = 0) decays, even where (ka/2)(kb/2) underflows to 0.
+    return sys.g_eff != 0.0 and sys.g_eff * sys.g_eff >= (sys.kappa_a / 2.0) * (sys.kappa_b / 2.0)
 
 
 def scattering_at(sys: LinearizedSystem, omega: float) -> ScatteringPoint:
@@ -167,7 +168,8 @@ def conversion_spectrum(sys: LinearizedSystem, omegas) -> list[ScatteringPoint]:
         if res > _RESIDUAL_RTOL * scale:
             raise _residual_error(res, scale)
         amplitude_ab = sqrt_ka * xa
-        points.append(ScatteringPoint(omega, amplitude_ab, amplitude_ba, abs(amplitude_ba) ** 2))
+        gain = abs(amplitude_ba)  # squared by a product: C pow need not round correctly
+        points.append(ScatteringPoint(omega, amplitude_ab, amplitude_ba, gain * gain))
     return points
 
 

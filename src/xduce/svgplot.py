@@ -36,10 +36,11 @@ def _panel(out: list, powers, logs, curves, title: str, log_y: bool, x0: float,
     # per Q, the powers, their logs and the values of the points a log power
     # axis (and a log-y axis) can place; a curve whose points all can keeps
     # the power lists it shares with the other curves
+    all_placeable = min(powers) > 0.0
     placeable = []
     for vs in curves:
         xs, lxs = powers, logs
-        if min(powers) <= 0.0 or (log_y and min(vs) <= 0.0):
+        if not all_placeable or (log_y and min(vs) <= 0.0):
             kept = [i for i, (p, v) in enumerate(zip(powers, vs))
                     if p > 0.0 and (v > 0.0 or not log_y)]
             xs, lxs, vs = ([column[i] for i in kept] for column in (powers, logs, vs))
@@ -51,8 +52,11 @@ def _panel(out: list, powers, logs, curves, title: str, log_y: bool, x0: float,
     plot_x1 = x0 + panel_w - _MARGIN["right"]
     plot_y0 = _MARGIN["top"]
     plot_y1 = HEIGHT - _MARGIN["bottom"]
-    lx_min = math.log10(min(min(powers) for powers, _, _ in placed))
-    lx_max = math.log10(max(max(powers) for powers, _, _ in placed))
+    if all(xs is powers for xs, _, _ in placed):  # the shared list's ends are the range
+        lx_min, lx_max = math.log10(min(powers)), math.log10(max(powers))
+    else:
+        lx_min = math.log10(min(min(xs) for xs, _, _ in placed))
+        lx_max = math.log10(max(max(xs) for xs, _, _ in placed))
     if lx_max == lx_min:
         lx_min, lx_max = lx_min - 0.5, lx_max + 0.5
     y_min = min(min(vs) for _, _, vs in placed)
@@ -93,9 +97,13 @@ def _panel(out: list, powers, logs, curves, title: str, log_y: bool, x0: float,
             template_logs = logs
             template = "M " + " L ".join(
                 ["%.2f" % (plot_x0 + (lp - lx_min) / x_span * x_width) + " %.2f" for lp in logs])
-        ys = tuple(plot_y1 - (t - y_min) / y_span * y_height
-                   for t in (map(math.log10, vs) if log_y else vs))
-        out.append(f'<path d="{template % ys}" fill="none" '
+        if vs.count(vs[0]) == len(vs):  # a constant curve's y is formatted once
+            t = math.log10(vs[0]) if log_y else vs[0]
+            d = template.replace("%.2f", "%.2f" % (plot_y1 - (t - y_min) / y_span * y_height))
+        else:
+            d = template % tuple([plot_y1 - (t - y_min) / y_span * y_height
+                                  for t in (map(math.log10, vs) if log_y else vs)])
+        out.append(f'<path d="{d}" fill="none" '
                    f'stroke="{_PALETTE[idx % len(_PALETTE)]}" stroke-width="1.5" />')
     return True
 

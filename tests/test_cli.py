@@ -56,6 +56,32 @@ LINEAR_TEMPLATE = (
 )
 GOLDEN_SVGS = {"golden_sweep.svg": GOLDEN_TEMPLATE, "golden_sweep_linear.svg": LINEAR_TEMPLATE}
 
+# Finite doubles without -0.0, which run_sweep never returns, and the doubles
+# on either side of repr's switch to exponent form (below 1e-4, from 1e16 on).
+REPR_SWITCH = (1e-5, math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e16, 0.0), 1e16, -1e16)
+TABLE_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from(REPR_SWITCH)).map(lambda v: v + 0.0)
+
+
+@st.composite
+def drawn_tables(draw, cells=TABLE_CELLS, powers=None):
+    """A SweepTable of 1 to 4 Q and 2 to 40 powers (or the drawn ``powers``),
+    whose infidelity is absent, or per Q constant or varying per row. A
+    varying curve may repeat up to three values."""
+    power_list = draw(powers) if powers is not None else draw(
+        st.lists(cells, min_size=2, max_size=40))
+    n_q, n = draw(st.integers(1, 4)), len(power_list)
+
+    def curves():
+        curve = st.one_of(cells.map(lambda v: [v] * n), st.lists(cells, min_size=n, max_size=n),
+                          st.lists(cells, min_size=2, max_size=3, unique=True).flatmap(
+                              lambda few: st.lists(st.sampled_from(few), min_size=n, max_size=n)))
+        return [draw(curve) for _ in range(n_q)]
+
+    return SweepTable(power_list, draw(st.lists(cells, min_size=n_q, max_size=n_q)),
+                      draw(st.lists(cells, min_size=n, max_size=n)), curves(), curves(), curves(),
+                      curves() if draw(st.booleans()) else None)
+
 
 def parse_single_record(output: str) -> dict:
     header, values = output.strip().splitlines()
@@ -220,6 +246,20 @@ class TestSweepCommand:
         for fmt, lines in (("csv", csv), ("jsonl", jsonl)):
             assert "".join(_sweep_lines(table, fmt)) == "\n".join(lines) + "\n"
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(table=drawn_tables())
+    def test_lines_are_a_repr_per_cell_of_any_table(self, table):
+        rows = [(power, q_b, n_p, table.cooperativity[k][i], table.eta_i[k][i], table.eta[k][i],
+                 None if table.infidelity is None else table.infidelity[k][i])
+                for k, q_b in enumerate(table.q_b)
+                for i, (power, n_p) in enumerate(zip(table.pump_power_w, table.n_p))]
+        names = SWEEP_HEADER.split(",")
+        csv = [SWEEP_HEADER] + [",".join("" if v is None else repr(v) for v in row)
+                                for row in rows]
+        jsonl = [json.dumps(dict(zip(names, row))) for row in rows]
+        for fmt, lines in (("csv", csv), ("jsonl", jsonl)):
+            assert "".join(_sweep_lines(table, fmt)) == "\n".join(lines) + "\n"
+
     def test_svg_structure_one_path_per_q(self, tmp_path):
         svg_path = tmp_path / "plot.svg"
         text = DEVICE_SECTION + (
@@ -291,6 +331,72 @@ class TestRenderSweepSvg:
             table, ["infidelity", "efficiency", "cooperativity"], note="r0 & mu"))
         notes = [t for t in root.iter(self.SVG + "text") if t.get("font-size") == "9"]
         assert [(t.text, t.get("x")) for t in notes] == [("r0 & mu", "326.67")]
+
+    @staticmethod
+    def mapped_paths(table, outputs):
+        """(stroke, points) of each path, each point's x and y "%.2f" of the
+        panel mapping: the log power and the value (log for infidelity) of
+        each placeable point scaled from the range of those of every curve,
+        widened by 0.5 about one value, to the panel's plot area."""
+        panel_w = 800.0 / len(outputs)
+        paths = []
+        for i, output in enumerate(outputs):
+            log_y = output == "infidelity"
+            curves = {"efficiency": table.eta, "cooperativity": table.cooperativity,
+                      "infidelity": table.infidelity}[output]
+            kept = [[(p, v) for p, v in zip(table.pump_power_w, vs)
+                     if p > 0.0 and (v > 0.0 or not log_y)] for vs in curves or ()]
+            if not any(kept):
+                continue
+            lx_min = math.log10(min(p for points in kept for p, _ in points))
+            lx_max = math.log10(max(p for points in kept for p, _ in points))
+            if lx_max == lx_min:
+                lx_min, lx_max = lx_min - 0.5, lx_max + 0.5
+            y_min = min(v for points in kept for _, v in points)
+            y_max = max(v for points in kept for _, v in points)
+            if log_y:
+                y_min, y_max = math.log10(y_min), math.log10(y_max)
+            if y_max == y_min:
+                y_min, y_max = y_min - 0.5, y_max + 0.5
+            x0, x1 = i * panel_w + 60.0, i * panel_w + panel_w - 20.0
+            for k, points in enumerate(kept):
+                if points:
+                    paths.append((_PALETTE[k % len(_PALETTE)], [
+                        ("%.2f" % (x0 + (math.log10(p) - lx_min) / (lx_max - lx_min) * (x1 - x0)),
+                         "%.2f" % (550.0 - ((math.log10(v) if log_y else v) - y_min)
+                                   / (y_max - y_min) * 510.0))
+                        for p, v in points]))
+        return paths
+
+    # positive log-like powers, or a linear grid from 0 W; values that are
+    # constant, 0 (which the log-y infidelity panel drops) or anything in [0, 2]
+    SVG_POWERS = st.one_of(
+        st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=30, unique=True).map(sorted),
+        st.tuples(st.floats(1e-6, 1.0), st.integers(2, 30)).map(
+            lambda grid: [grid[0] * j for j in range(grid[1])]))
+    SVG_VALUES = st.one_of(st.just(0.0), st.just(0.25), st.floats(0.0, 2.0))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(table=drawn_tables(SVG_VALUES, powers=SVG_POWERS),
+           outputs=st.permutations(["efficiency", "cooperativity", "infidelity"]).flatmap(
+               lambda order: st.integers(1, 3).map(lambda n: order[:n])))
+    @example(  # constant curves, one at 0 that the log-y panel drops
+        table=SweepTable([1e-6, 1e-5, 1e-4], [9e6, 9e7], [0.0] * 3, [[0.5] * 3, [0.0] * 3],
+                         [[0.5] * 3, [0.0] * 3], [[0.5] * 3, [0.0] * 3], [[0.5] * 3, [0.0] * 3]),
+        outputs=["efficiency", "infidelity"])
+    @example(  # a linear power axis from 0 W, and log-y values with zeros among them
+        table=SweepTable([0.0, 1e-4, 2e-4, 3e-4], [9e6], [0.0] * 4, [[0.1, 0.2, 0.0, 0.4]],
+                         [[0.1, 0.2, 0.0, 0.4]], [[0.1, 0.2, 0.0, 0.4]], [[0.0, 1e-3, 0.0, 1e-1]]),
+        outputs=["cooperativity", "infidelity"])
+    def test_paths_follow_the_panel_mapping(self, table, outputs):
+        root = ET.fromstring(render_sweep_svg(table, outputs))
+        drawn = []
+        for path in root.iter(self.SVG + "path"):
+            moves = path.get("d").split(" L ")
+            assert moves[0].startswith("M ")
+            moves[0] = moves[0][2:]
+            drawn.append((path.get("stroke"), [tuple(move.split(" ")) for move in moves]))
+        assert drawn == self.mapped_paths(table, outputs)
 
     def test_unknown_output_raises(self):
         with pytest.raises(ValueError, match="no such output column: 'eta'"):
